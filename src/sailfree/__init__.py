@@ -7,10 +7,6 @@ from .constructions import (
     TwoFactorSpec,
     build,
     build_resolved,
-    construct_c1,
-    construct_c2,
-    construct_c3,
-    construct_c4,
     matching_decomposition,
     transversal_design,
     truncated_design,
@@ -66,10 +62,6 @@ __all__ = [
     "build",
     "build_resolved",
     "canonical_form",
-    "construct_c1",
-    "construct_c2",
-    "construct_c3",
-    "construct_c4",
     "count_sails",
     "deficiency",
     "enumerate_extremal",

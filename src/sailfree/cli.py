@@ -66,7 +66,6 @@ def _emit(text: str, out: str | None) -> None:
 def _search_opts(args) -> SearchOptions:
     return SearchOptions(
         target_edges=getattr(args, "target", None),
-        enumerate=getattr(args, "enumerate", False),
         worker_count=args.threads,
         node_limit=getattr(args, "node_limit", None),
         time_limit=getattr(args, "time_limit", None),

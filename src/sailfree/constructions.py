@@ -538,31 +538,6 @@ def truncated_design(k: int, seed: Optional[int] = None) -> LinearTripleSystem:
 # --- dispatch -------------------------------------------------------------
 
 
-def _expect_variant(spec: ConstructionSpec, variant: str) -> None:
-    if spec.variant != variant:
-        raise ValueError(f"spec has variant {spec.variant!r}, expected {variant!r}")
-
-
-def construct_c1(spec: ConstructionSpec) -> LinearTripleSystem:
-    _expect_variant(spec, "c1")
-    return _build_c1(spec)[0]
-
-
-def construct_c2(spec: ConstructionSpec) -> LinearTripleSystem:
-    _expect_variant(spec, "c2")
-    return _build_c2(spec)[0]
-
-
-def construct_c3(spec: ConstructionSpec) -> LinearTripleSystem:
-    _expect_variant(spec, "c3")
-    return _build_c3(spec)[0]
-
-
-def construct_c4(spec: ConstructionSpec) -> LinearTripleSystem:
-    _expect_variant(spec, "c4")
-    return _build_c4(spec)[0]
-
-
 def build(spec: ConstructionSpec) -> LinearTripleSystem:
     return build_resolved(spec)[0]
 

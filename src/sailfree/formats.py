@@ -27,8 +27,15 @@ def system_to_json(system: LinearTripleSystem, **extra) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_system(text: str) -> LinearTripleSystem:
-    """Parse either format; validation errors from make_system propagate."""
+    """Parse either format; validation errors from make_system propagate.
+
+    Wrongly typed JSON values raise ParseError.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -37,7 +44,13 @@ def parse_system(text: str) -> LinearTripleSystem:
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
             raise ParseError('JSON needs keys "n" and "edges"')
-        return make_system(payload["n"], payload["edges"])
+        n, edges = payload["n"], payload["edges"]
+        if not _is_int(n):
+            raise ParseError('"n" must be an integer')
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in edges):
+            raise ParseError('"edges" must be a list of [a, b, c] integer lists')
+        return make_system(n, edges)
 
     header = None
     edges = []

@@ -123,7 +123,7 @@ class SailGuard:
     Single-owner state: each search worker keeps its own guard.  Pushes are
     O(m) bit-set subset tests; pops restore the incremental state exactly.
     The search kernel drives the same push logic through _push_fast with
-    precomputed masks; push() wraps it and reconstructs rejection details.
+    precomputed masks; push() wraps it and looks up rejection details.
     """
 
     __slots__ = ("n", "_stack", "_masks", "_pmasks", "_nbr", "_pairs")
@@ -187,20 +187,9 @@ class SailGuard:
         if code == 1:
             conflict = next(h for h in self._stack if len(set(h) & set(t)) >= 2)
             return PushResult(False, LINEARITY, conflict=conflict)
-        nbr = self._nbr
-        common = nbr[t.a] & nbr[t.b] & nbr[t.c] & ~tm
-        if common:
-            apex = (common & -common).bit_length() - 1
-            return PushResult(False, SAIL,
-                              witness=SailWitness(apex, _fans(self._stack, apex, t), t))
-        for v in t:
-            grown = nbr[v] | (tm & ~(1 << v))
-            vbit = 1 << v
-            for h, hm in zip(self._stack, self._masks):
-                if hm & vbit == 0 and hm & ~grown == 0:
-                    fans = _fans(self._stack + [t], v, h)
-                    return PushResult(False, SAIL, witness=SailWitness(v, fans, h))
-        raise AssertionError("push rejection without a reconstructible cause")
+        # the stack is sail-free, so every sail of the grown system uses t
+        witness = find_sail_fast(LinearTripleSystem(self.n, (*self._stack, t)))
+        return PushResult(False, SAIL, witness=witness)
 
     def _pop_fast(self) -> Triple:
         t = self._stack.pop()

@@ -1,12 +1,18 @@
 """Exact computation of the maximum sail-free size and exhaustive
 enumeration of extremal instances, by depth-first branch and bound.
 
-Triples are branched in lexicographic order and every partial system is
-kept linear and sail-free through the guard, so each accepted edge set is
-visited exactly once as its sorted edge list.  Two admissible bounds
-prune a node: the number of remaining pair-compatible candidate triples,
-and the per-vertex capacity sum(floor((n-1-|N(v)|)/2))//3 (a vertex of a
-linear system gains at most one edge per two unseen vertices).
+One DFS serves both.  Triples are branched in lexicographic order and
+every partial system is kept linear and sail-free through the guard, so
+each accepted edge set is visited exactly once as its sorted edge list.
+The DFS holds a bound and hands every node larger than it to a leaf
+policy, which returns the new bound: the maximum search records the
+system and raises the bound to its size, so the search goes on above it;
+enumeration of m-edge systems emits the system and holds the bound at
+m-1, so no system grows past m edges.  Two admissible bounds prune a
+child when it cannot exceed the bound: the number of remaining
+pair-compatible candidate triples, and the per-vertex capacity
+sum(floor((n-1-|N(v)|)/2))//3 (a vertex of a linear system gains at most
+one edge per two unseen vertices).
 
 For the maximum, the first edge is fixed to {0,1,2}: any nonempty system
 can be relabeled so that an edge lands there, and {0,1,2} is the smallest
@@ -18,7 +24,8 @@ relabeled duplicates.  Pass wlog_first_edge=False to enumerate without
 it.
 
 Parallel mode splits the top two levels of the tree into prefix tasks
-consumed by a process pool; workers share only a monotone best value.
+consumed by a process pool; workers share only a node count and, for the
+maximum, a monotone best value.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .sails import SailGuard
 @dataclass(frozen=True)
 class SearchOptions:
     target_edges: Optional[int] = None
-    enumerate: bool = False
     worker_count: int = 1
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None  # seconds
@@ -46,6 +52,10 @@ class SearchOptions:
     def __post_init__(self):
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
+        if self.time_limit is not None and self.time_limit < 0:
+            raise ValueError("time_limit must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class _Budget:
 
     def __init__(self, node_limit, deadline, counter=None):
         self.node_limit = node_limit
-        self.deadline = deadline
+        self.deadline = deadline  # on the time.monotonic() clock
         self.counter = counter  # multiprocessing value shared by workers
         self.local = 0
         self.exceeded = False
@@ -115,7 +125,7 @@ class _Budget:
             total = self.counter.value if self.counter is not None else self.local
             if total >= self.node_limit:
                 self.exceeded = True
-        if self.deadline is not None and time.time() >= self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             self.exceeded = True
         return self.exceeded
 
@@ -123,24 +133,26 @@ class _Budget:
 _CHECK_EVERY = 2048
 
 
-def _max_kernel(n, prefix, best_start, stop_at, budget, shared_best=None):
-    """DFS for the largest extension of the given triple-index prefix.
+def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
+    """Branch and bound below the given triple-index prefix.
 
-    Returns (found_best, found_edges, nodes, clean) where clean is False
-    when the budget cut the run short.  stop_at is the proof threshold:
-    reaching it makes every other branch prunable.
+    Every node with more edges than the bound goes to leaf(stack), which
+    returns the new bound; the node is extended only if it no longer
+    exceeds that bound.  A child is pruned when it cannot exceed the bound.
+    Reaching stop_at edges ends the run: it is the proof threshold, at
+    which every other branch is prunable.  shared_best, a value shared by
+    pool workers, raises the bound whenever another worker has done better.
+
+    Returns (nodes, clean): attempted edge additions, and False when the
+    budget cut the run short.
     """
     triples, vmasks, pmasks = _tables(n)
     guard = SailGuard(n)
     for t in prefix:
-        code = guard._push_fast(triples[t], vmasks[t], pmasks[t])
-        if code:
+        if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
             raise ValueError("invalid search prefix")
     stack = guard._stack
     nbr = guard._nbr
-    bound = best_start
-    found = 0
-    found_edges: Optional[list[Triple]] = None
     nodes = 0
     unchecked = 0
     done = False
@@ -149,20 +161,14 @@ def _max_kernel(n, prefix, best_start, stop_at, budget, shared_best=None):
             if pmasks[u] & guard._pairs == 0]
 
     def rec(cands):
-        nonlocal bound, found, found_edges, nodes, unchecked, done
+        nonlocal bound, nodes, unchecked, done
         size = len(stack)
         if shared_best is not None and shared_best.value > bound:
             bound = shared_best.value
         if size > bound:
-            bound = size
-            found = size
-            found_edges = list(stack)
-            if shared_best is not None:
-                with shared_best.get_lock():
-                    if shared_best.value < size:
-                        shared_best.value = size
-            if size >= stop_at:
-                done = True
+            bound = leaf(stack)
+            done = size >= stop_at
+            if done or size > bound:
                 return
         for pos in range(len(cands)):
             if done:
@@ -186,71 +192,56 @@ def _max_kernel(n, prefix, best_start, stop_at, budget, shared_best=None):
                 if size + 1 + cap // 3 > bound:
                     rec(rest)
             guard._pop_fast()
-        return
 
     rec(base)
-    budget.spend(unchecked)
-    clean = not budget.exceeded
-    return found, found_edges, nodes, clean
-
-
-def _enum_kernel(n, prefix, m_target, budget, emit: Callable):
-    """DFS emitting every sail-free linear system with exactly m_target edges."""
-    triples, vmasks, pmasks = _tables(n)
-    guard = SailGuard(n)
-    for t in prefix:
-        if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
-            raise ValueError("invalid search prefix")
-    stack = guard._stack
-    nbr = guard._nbr
-    nodes = 0
-    unchecked = 0
-    done = False
-
-    base = [u for u in range(prefix[-1] + 1 if prefix else 0, len(triples))
-            if pmasks[u] & guard._pairs == 0]
-
-    def rec(cands):
-        nonlocal nodes, unchecked, done
-        size = len(stack)
-        if size == m_target:
-            emit(tuple(stack))
-            return
-        for pos in range(len(cands)):
-            if done:
-                return
-            unchecked += 1
-            if unchecked >= _CHECK_EVERY:
-                if budget.spend(unchecked):
-                    done = True
-                    return
-                unchecked = 0
-            ti = cands[pos]
-            nodes += 1
-            if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
-                continue
-            pairs = guard._pairs
-            rest = [u for u in cands[pos + 1:] if pmasks[u] & pairs == 0]
-            need = m_target - size - 1
-            if len(rest) >= need:
-                cap = 0
-                for v in range(n):
-                    cap += (n - 1 - nbr[v].bit_count()) >> 1
-                if cap // 3 >= need:
-                    rec(rest)
-            guard._pop_fast()
-        return
-
-    if len(prefix) == m_target:
-        emit(tuple(triples[t] for t in prefix))
-    else:
-        rec(base)
     budget.spend(unchecked)
     return nodes, not budget.exceeded
 
 
+def _max_kernel(n, prefix, bound, stop_at, budget, shared_best=None):
+    """The DFS with the maximum's leaf policy: keep the largest system.
+
+    Returns (found_best, found_edges, nodes, clean); found_best is 0 and
+    found_edges None when nothing beat the starting bound.
+    """
+    found, found_edges = 0, None
+
+    def leaf(stack):
+        nonlocal found, found_edges
+        size = len(stack)
+        found, found_edges = size, list(stack)
+        if shared_best is not None:
+            with shared_best.get_lock():
+                if shared_best.value < size:
+                    shared_best.value = size
+        return size
+
+    nodes, clean = _dfs(n, prefix, bound, stop_at, budget, leaf, shared_best)
+    return found, found_edges, nodes, clean
+
+
+def _enum_kernel(n, prefix, m, budget, emit: Callable):
+    """The DFS with enumeration's leaf policy: emit every m-edge system.
+
+    The bound stays at m-1, so every m-edge system reaches the leaf and
+    none is extended; stop_at is m+1, which is never reached.
+    """
+    def leaf(stack):
+        emit(tuple(stack))
+        return m - 1
+
+    return _dfs(n, prefix, m - 1, m + 1, budget, leaf)
+
+
+def _form_adder(n, forms: set):
+    """An emit callback adding each system's canonical form to forms."""
+    def emit(edges):
+        forms.add(canonical_form(LinearTripleSystem(n, edges)))
+    return emit
+
+
 def _deadline(opts: SearchOptions) -> Optional[float]:
-    return time.time() + opts.time_limit if opts.time_limit is not None else None
+    return time.monotonic() + opts.time_limit if opts.time_limit is not None else None
 
 
 def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport:
@@ -267,16 +258,17 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     start = time.monotonic()
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
-    budget = _Budget(opts.node_limit, _deadline(opts))
 
+    # the first edge {0,1,2} alone is the starting best of 1
     if opts.worker_count == 1:
+        budget = _Budget(opts.node_limit, _deadline(opts))
         found, edges, nodes, clean = _max_kernel(n, (0,), 1, stop_at, budget)
     else:
-        found, edges, nodes, clean = _parallel_max(n, stop_at, opts)
-    best, best_edges = max(1, found), edges
-    if best_edges is None:
-        best_edges = [_tables(n)[0][0]]  # the fixed first edge alone
-    witness = LinearTripleSystem(n, tuple(best_edges))
+        shared_best = mp.Value("q", 1, lock=True)
+        clean, nodes, results = _run_pool(n, [0], opts, _max_task, stop_at, shared_best)
+        found, edges = max(results, key=lambda r: r[0], default=(0, None))
+    best = max(1, found)
+    witness = LinearTripleSystem(n, tuple(edges or [_tables(n)[0][0]]))
     proven_by_bound = best >= ubn
     stopped_at_target = (
         opts.target_edges is not None and best >= opts.target_edges and not proven_by_bound
@@ -296,28 +288,23 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
         raise UnsupportedSize(f"n={n} outside supported range 3..64")
     if m < 1:
         raise ValueError("m must be >= 1")
-    budget = _Budget(opts.node_limit, _deadline(opts))
+    roots = [0] if wlog_first_edge else list(range(len(_tables(n)[0])))
     forms: set[CanonicalForm] = set()
 
-    if opts.worker_count == 1:
-        def emit(stack):
-            forms.add(canonical_form(LinearTripleSystem(n, tuple(stack))))
-
-        roots = [(0,)] if wlog_first_edge else [(t,) for t in range(len(_tables(n)[0]))]
-        clean = True
-        for root in roots:
-            _, ok = _enum_kernel(n, root, m, budget, emit)
-            if not ok:
-                clean = False
-                break
+    # one-edge systems are the roots themselves, which no depth-2 pool task covers
+    if opts.worker_count == 1 or m == 1:
+        budget = _Budget(opts.node_limit, _deadline(opts))
+        emit = _form_adder(n, forms)
+        clean = all(_enum_kernel(n, (r,), m, budget, emit)[1] for r in roots)
     else:
-        forms, clean = _parallel_enum(n, m, opts, wlog_first_edge)
+        clean, _, results = _run_pool(n, roots, opts, _enum_task, m)
+        forms = forms.union(*results)
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
     return forms
 
 
-# --- process-pool backends ------------------------------------------------
+# --- process pool ---------------------------------------------------------
 
 _WORKER_STATE: dict = {}
 
@@ -331,40 +318,33 @@ def _max_task(args):
     n, prefix, stop_at, node_limit, deadline = args
     shared_best = _WORKER_STATE["best"]
     budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
-    found, edges, nodes, clean = _max_kernel(
-        n, prefix, shared_best.value, stop_at, budget, shared_best
-    )
-    packed = [tuple(e) for e in edges] if edges is not None else None
-    return found, packed, nodes, clean
+    found, edges, _, clean = _max_kernel(n, prefix, shared_best.value, stop_at, budget,
+                                         shared_best)
+    return clean, (found, edges)
 
 
 def _enum_task(args):
-    n, prefix, m_target, node_limit, deadline = args
+    n, prefix, m, node_limit, deadline = args
     budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
-    local: set[CanonicalForm] = set()
-
-    def emit(stack):
-        local.add(canonical_form(LinearTripleSystem(n, tuple(stack))))
-
-    nodes, clean = _enum_kernel(n, prefix, m_target, budget, emit)
-    return local, nodes, clean
+    forms: set[CanonicalForm] = set()
+    _, clean = _enum_kernel(n, prefix, m, budget, _form_adder(n, forms))
+    return clean, forms
 
 
 def _depth2_prefixes(n, roots):
-    """(root,) and (root, t) prefixes covering the whole tree below the roots.
+    """(root, t) prefixes covering the whole tree below the roots, except
+    the roots themselves.
 
     Also returns the number of push attempts spent probing, so parallel
     runs count nodes the same way sequential ones do.
     """
     triples, vmasks, pmasks = _tables(n)
     tasks = []
-    shallow = []
     probes = 0
     for r in roots:
         guard = SailGuard(n)
         probes += 1
         guard._push_fast(triples[r], vmasks[r], pmasks[r])
-        shallow.append((r,))
         for t in range(r + 1, len(triples)):
             if pmasks[t] & guard._pairs:
                 continue
@@ -372,46 +352,22 @@ def _depth2_prefixes(n, roots):
             if guard._push_fast(triples[t], vmasks[t], pmasks[t]) == 0:
                 guard._pop_fast()
                 tasks.append((r, t))
-    return shallow, tasks, probes
+    return tasks, probes
 
 
-def _parallel_max(n, stop_at, opts):
-    triples = _tables(n)[0]
-    # the lone (0,) leaf is already covered by the initial best of 1
-    _, tasks, probes = _depth2_prefixes(n, [0])
-    best, edges = 1, [triples[0]]
-    shared_best = mp.Value("q", best, lock=True)
+def _run_pool(n, roots, opts, task, arg, shared_best=None):
+    """Run task over the depth-2 prefixes below the roots in a process pool.
+
+    Each task gets (n, prefix, arg, node_limit, deadline) and returns
+    (clean, result).  Returns (clean, nodes, results), results in
+    completion order.
+    """
+    tasks, probes = _depth2_prefixes(n, roots)
     shared_nodes = mp.Value("q", probes, lock=True)
     deadline = _deadline(opts)
-    args = [(n, p, stop_at, opts.node_limit, deadline) for p in tasks]
-    clean = True
+    args = [(n, p, arg, opts.node_limit, deadline) for p in tasks]
     with mp.Pool(opts.worker_count, initializer=_pool_init,
                  initargs=(shared_best, shared_nodes)) as pool:
-        for found, packed, _nodes, ok in pool.imap_unordered(_max_task, args):
-            clean &= ok
-            if found > best and packed is not None:
-                best = found
-                edges = [Triple(*e) for e in packed]
-    nodes = shared_nodes.value
-    return best, edges, nodes, clean
-
-
-def _parallel_enum(n, m, opts, wlog_first_edge):
-    triples = _tables(n)[0]
-    roots = [0] if wlog_first_edge else list(range(len(triples)))
-    shallow, tasks, probes = _depth2_prefixes(n, roots)
-    forms: set[CanonicalForm] = set()
-    if m == 1:
-        for (r,) in shallow:
-            forms.add(canonical_form(LinearTripleSystem(n, (triples[r],))))
-        return forms, True
-    shared_nodes = mp.Value("q", probes, lock=True)
-    deadline = _deadline(opts)
-    args = [(n, p, m, opts.node_limit, deadline) for p in tasks]
-    clean = True
-    with mp.Pool(opts.worker_count, initializer=_pool_init,
-                 initargs=(None, shared_nodes)) as pool:
-        for local, _, ok in pool.imap_unordered(_enum_task, args):
-            clean &= ok
-            forms |= local
-    return forms, clean
+        outcomes = list(pool.imap_unordered(task, args))
+    clean = all(ok for ok, _ in outcomes)
+    return clean, shared_nodes.value, [result for _, result in outcomes]

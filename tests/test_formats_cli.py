@@ -164,6 +164,12 @@ def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
     f.write_text("4 2\n0 1 2\n0 1 3\n")
     assert run_cli("check", str(f)) == 1
     assert "share" in capsys.readouterr().out
+    # wrongly typed JSON is a parse failure, not a traceback
+    for text in ('{"n": "10", "edges": []}', '{"n": 4, "edges": [[0, 1.5, 2]]}',
+                 '{"n": 4, "edges": 5}'):
+        f.write_text(text)
+        assert run_cli("check", str(f)) == 1, text
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_check_json(tmp_path, capsys):
@@ -184,6 +190,9 @@ def test_cli_search_limit_exit_code(capsys):
     # n=8 needs a full exploration (the degree bound 7 is not attained),
     # so a tiny node budget must surface as exit code 3
     assert run_cli("search", "--n", "8", "--node-limit", "3") == 3
+    # a negative budget is a usage error, not an unproven maximum
+    assert run_cli("search", "--n", "8", "--node-limit", "-5") == 2
+    assert run_cli("search", "--n", "8", "--time-limit", "-1") == 2
     capsys.readouterr()
 
 

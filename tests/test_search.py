@@ -26,6 +26,9 @@ def test_small_maxima_match_known_values():
         report = max_sail_free(n)
         assert report.exhausted
         assert report.max_edges == want, n
+        if n == 8:
+            # pins the serial traversal: order, pruning and node counting
+            assert report.nodes_explored == 7454
 
 
 def test_witness_is_valid_and_sail_free():
@@ -106,9 +109,11 @@ def test_enumerate_respects_limits():
 
 
 def test_enumerate_parallel_agrees():
-    seq = enumerate_extremal(7, 4)
-    par = enumerate_extremal(7, 4, SearchOptions(worker_count=2))
-    assert seq == par
+    two = SearchOptions(worker_count=2)
+    for n, m in ((7, 4), (7, 1)):
+        seq = enumerate_extremal(n, m)
+        assert enumerate_extremal(n, m, two) == seq
+        assert enumerate_extremal(n, m, two, wlog_first_edge=False) == seq
 
 
 def test_report_fields_consistent():
