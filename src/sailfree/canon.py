@@ -1,9 +1,10 @@
 """Canonical labeling and isomorphism testing for triple systems.
 
 The canonical form is the lexicographically minimal sorted edge list over
-all vertex relabelings, found by branch and bound over label assignments.
-Labels 0, 1, 2, ... are assigned to original vertices one at a time; a
-partial assignment is scored by an optimistic completion:
+all vertex relabelings, found by one branch-and-bound depth-first search
+over label assignments.  Labels 0, 1, 2, ... are assigned to original
+vertices one at a time; a partial assignment is scored by an optimistic
+completion:
 
 * an edge with all three vertices labeled contributes its final image;
 * an edge with labeled vertices p < q (or p, or none) contributes the
@@ -12,10 +13,47 @@ partial assignment is scored by an optimistic completion:
   unassigned vertex receives a label >= depth.
 
 Raising multiset elements never lowers the sorted list, so the scored
-list is a true lower bound and pruning on it is exact.  Labels 0..2 are
-only ever seeded with the vertices of an edge: when the system has any
-edge at all, the minimal list starts with (0,1,2), and an assignment
-whose first three labels are independent cannot reach it.
+list is a true lower bound on every leaf below the node.  Children are
+tried in order of (bound, vertex), and the search returns the first leaf
+in that order whose list is minimal.
+
+Search space.  Label 0 goes to a vertex on an edge, label 1 to a vertex
+sharing an edge with it and label 2 to the third vertex of that edge
+(unique, by linearity).  When the system has any edge the minimal list
+starts with (0,1,2), so these are exactly the labelings that can reach
+it.  Only the u vertices on edges take labels 0..u-1; the isolated
+vertices then take u, u+1, ... in vertex order.  That loses nothing:
+relabeling the edge vertices 0..u-1 in the order of their labels lowers
+no edge vertex's label, hence no packed triple, hence not the sorted
+list, and the isolated vertices appear in no edge.
+
+Cuts.  Each cut below drops only leaves whose lists are >= the best list
+found so far.  So no smaller list is missed, and the first minimal leaf
+is never dropped: dropping it would need an equal list found before it.
+By induction, once a child has been handled no leaf below it is smaller
+than the best list.
+
+* Bound.  A child is cut only when its bound is strictly greater than the
+  best list.  Leaves equal to the best are reached, and the best changes
+  only on a strictly smaller leaf.
+* Automorphisms.  A leaf whose list equals the best list gives
+  sigma = best_label^-1 o label.  Both labelings carry the edge set E onto
+  the same list, so sigma(E) = best_label^-1(label(E)) = E: sigma is an
+  automorphism.  It stays one when a smaller leaf replaces the best, so
+  every such sigma is kept as a generator.
+* Orbit pruning.  At a node with path v0..v(d-1), let G be the group
+  generated by the kept generators that fix every path vertex.  If g in G
+  maps a handled child w' to a candidate w, then each leaf labeling L
+  below w gives the labeling L o g below w' with the same list: g fixes
+  the path, maps w' to w and E onto E, and so keeps the rules for labels
+  0..2 and for edge vertices; only the order of the isolated vertices may
+  change, which the list does not see.  Nothing below w' is smaller than
+  the best, so w is skipped.
+* Abandoning a subtree.  When a leaf equals the best, its generator sigma
+  fixes the common prefix v0..v(d-1) of the two leaves' paths and maps
+  the current child v_d to the best leaf's b_d, a sibling handled before
+  it.  By the orbit rule v_d's subtree holds nothing smaller than the
+  best, so the search returns to depth d at once.
 
 Triples are packed into ints (a<<12 | b<<6 | c, valid for n <= 64) so
 list comparison and sorting stay cheap.
@@ -24,14 +62,9 @@ list comparison and sorting stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Optional
 
 from .core import LinearTripleSystem, Triple
-
-
-def _pack(a: int, b: int, c: int) -> int:
-    return (a << 12) | (b << 6) | c
 
 
 def _unpack(x: int) -> Triple:
@@ -40,13 +73,22 @@ def _unpack(x: int) -> Triple:
 
 def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[int]]:
     """Minimal packed edge list and one labeling (original -> new) achieving it."""
-    m = len(edges)
-    if m == 0:
+    if not edges:
         return [], list(range(n))
-    label = [-1] * n
-    best: Optional[list[int]] = None
-    best_label: Optional[list[int]] = None
     everts = [tuple(e) for e in edges]
+    third = {}  # (x, y) -> the third vertex of the edge through x and y
+    for (a, b, c) in everts:
+        third[a, b] = third[b, a] = c
+        third[a, c] = third[c, a] = b
+        third[b, c] = third[c, b] = a
+    on_edge = sorted({v for e in everts for v in e})
+    isolated = sorted(set(range(n)).difference(on_edge))
+    u = len(on_edge)
+    label = [-1] * n
+    path: list[int] = []
+    best: Optional[list[int]] = None
+    best_label: list[int] = []
+    gens: list[list[int]] = []
 
     def scored(depth: int) -> list[int]:
         out = []
@@ -71,36 +113,79 @@ def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[in
         out.sort()
         return out
 
-    def dfs(depth: int) -> None:
+    def leaf(cur: list[int]) -> int:
+        """Record a complete labeling; returns the depth to resume at."""
         nonlocal best, best_label
-        if depth == n:
-            cur = scored(depth)
-            if best is None or cur < best:
-                best = cur
-                best_label = label[:]
-            return
-        options = []
-        for v in range(n):
-            if label[v] == -1:
-                label[v] = depth
-                lb = scored(depth + 1)
-                label[v] = -1
-                if best is None or lb < best:
-                    options.append((lb, v))
-        options.sort()
-        for lb, v in options:
-            if best is not None and lb >= best:
-                break
-            label[v] = depth
-            dfs(depth + 1)
-            label[v] = -1
+        full = label[:]
+        for i, v in enumerate(isolated):
+            full[v] = u + i
+        if best is None or cur < best:
+            best, best_label = cur, full
+            return u
+        # equal to the best: sigma = best_label^-1 o full is an automorphism
+        inv = [0] * n
+        for v, lab in enumerate(best_label):
+            inv[lab] = v
+        gens.append([inv[lab] for lab in full])
+        d = 0
+        while inv[d] == path[d]:
+            d += 1
+        return d
 
-    for e in edges:
-        for (u, v, w) in permutations(e):
-            label[u], label[v], label[w] = 0, 1, 2
-            if best is None or scored(3) < best:
-                dfs(3)
-            label[u] = label[v] = label[w] = -1
+    def find(parent: list[int], v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def dfs(depth: int) -> int:
+        """Explore the children of the current path; returns the depth to
+        resume at (depth itself, or less when a found automorphism covers
+        the rest of an ancestor's subtree)."""
+        if depth == 0:
+            cands = on_edge
+        elif depth == 1:
+            cands = [v for v in on_edge if (path[0], v) in third]
+        elif depth == 2:
+            cands = [third[path[0], path[1]]]
+        else:
+            cands = [v for v in on_edge if label[v] == -1]
+        options = []
+        for v in cands:
+            label[v] = depth
+            lb = scored(depth + 1)
+            label[v] = -1
+            if best is None or lb <= best:
+                options.append((lb, v))
+        options.sort()
+        explored: list[int] = []
+        orbit: list[int] = []  # union-find over the generators fixing the path
+        used = 0  # generators already merged into orbit
+        for lb, v in options:
+            if best is not None and lb > best:
+                break
+            if explored and used < len(gens):
+                for g in gens[used:]:
+                    if all(g[p] == p for p in path):
+                        orbit = orbit or list(range(n))
+                        for x in range(n):
+                            rx, ry = find(orbit, x), find(orbit, g[x])
+                            if rx != ry:
+                                orbit[rx] = ry
+                used = len(gens)
+            if orbit and any(find(orbit, v) == find(orbit, w) for w in explored):
+                continue
+            label[v] = depth
+            path.append(v)
+            resume = leaf(lb) if depth + 1 == u else dfs(depth + 1)
+            path.pop()
+            label[v] = -1
+            if resume < depth:
+                return resume
+            explored.append(v)
+        return depth
+
+    dfs(0)
     return best, best_label
 
 

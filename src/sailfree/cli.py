@@ -15,6 +15,7 @@ import sys
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
 from .errors import (
+    DegenerateEdge,
     DuplicateEdge,
     LimitExceeded,
     LinearityViolation,
@@ -27,8 +28,8 @@ from .formats import parse_system, serialize_system, system_to_json
 from .search import SearchOptions, enumerate_extremal, max_sail_free
 from .verify import ROLES, table, verify_report
 
-_DATA_ERRORS = (ParseError, LinearityViolation, DuplicateEdge, VertexOutOfRange,
-                UnsupportedSize)
+_DATA_ERRORS = (ParseError, LinearityViolation, DuplicateEdge, DegenerateEdge,
+                VertexOutOfRange, UnsupportedSize)
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    DegenerateEdge,
     DuplicateEdge,
     LinearityViolation,
     UnsupportedSize,
@@ -33,7 +34,7 @@ class Triple(NamedTuple):
     def of(cls, vertices: Iterable[int]) -> "Triple":
         vs = sorted(vertices)
         if len(vs) != 3 or vs[0] == vs[1] or vs[1] == vs[2]:
-            raise ValueError(f"a triple needs 3 distinct vertices, got {vs}")
+            raise DegenerateEdge(f"a triple needs 3 distinct vertices, got {vs}")
         return cls(vs[0], vs[1], vs[2])
 
     @property
@@ -137,8 +138,8 @@ class LinearTripleSystem:
 def make_system(n: int, triples: Iterable[Iterable[int]]) -> LinearTripleSystem:
     """Validate and normalize raw triples into a LinearTripleSystem.
 
-    Raises VertexOutOfRange, DuplicateEdge or LinearityViolation (the last
-    one names an offending pair of edges).
+    Raises DegenerateEdge, VertexOutOfRange, DuplicateEdge or
+    LinearityViolation (the last one names an offending pair of edges).
     """
     return LinearTripleSystem(n, tuple(Triple.of(t) for t in triples))
 

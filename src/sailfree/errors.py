@@ -17,6 +17,10 @@ class DuplicateEdge(TripleSystemError):
     pass
 
 
+class DegenerateEdge(TripleSystemError, ValueError):
+    """An edge that is not three distinct vertices."""
+
+
 class LinearityViolation(TripleSystemError):
     """Two edges share two or more vertices."""
 

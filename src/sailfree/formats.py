@@ -40,7 +40,9 @@ def parse_system(text: str) -> LinearTripleSystem:
     if stripped.startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and integers too long to convert;
+            # RecursionError, arrays nested too deep for the decoder
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
             raise ParseError('JSON needs keys "n" and "edges"')

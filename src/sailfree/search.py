@@ -50,6 +50,8 @@ class SearchOptions:
     time_limit: Optional[float] = None  # seconds
 
     def __post_init__(self):
+        if self.target_edges is not None and self.target_edges < 1:
+            raise ValueError("target_edges must be >= 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.node_limit is not None and self.node_limit < 0:

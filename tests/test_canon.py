@@ -7,10 +7,28 @@ from sailfree.constructions import (
     build,
     c1_offset_sweep,
     transversal_design,
+    truncated_design,
 )
 from sailfree.core import Triple, make_system
 
 from conftest import random_linear_system
+
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+
+# Canonical bytes of symmetric inputs, as computed by the search without
+# automorphism pruning; the pruned search must reproduce them exactly.
+# truncated k=3 is there because it is where skipping orbits under
+# generators that do not fix the path would show.
+PINNED = {
+    "truncated-k3": "0b00010200030400050600070801030901050a02040902070a03060a04080a0507"
+                    "09060809",
+    "td-k4": "0c00010200030400050600070801030901050a01070b02040902060b02080a03060a"
+          "03080b04050b04070a050809060709",
+    "truncated-k4": "0e00010200030400050600070800090a01030b01050c01070d02040c02060b"
+                    "02090d03060d03080c04070b040a0d05080d05090b060a0c07090c080a0b",
+    "c1-k4": "0d00010200030400050600070801030901050a01070b02040a02060902080c03060a"
+          "03070c04050c04090b050809060b0c080a0b",
+}
 
 
 def relabeled(system, perm):
@@ -40,6 +58,46 @@ def test_matches_brute_force_minimum_small_n():
             continue
         got = [tuple(e) for e in canonical_form(s).edges]
         assert got == brute_min_edge_list(s)
+
+
+def assert_labeling_verified(system, form):
+    image = {tuple(sorted((form.labeling[a], form.labeling[b], form.labeling[c])))
+             for a, b, c in system.edges}
+    assert image == {tuple(e) for e in form.edges}
+    assert sorted(form.labeling) == list(range(system.n))
+
+
+def test_matches_brute_force_on_symmetric_systems(sail7, quad6):
+    # inputs with many automorphisms, where orbit pruning cuts the most;
+    # the isolated-vertex cases exercise the labels given after the edges
+    rng = random.Random(7)
+    systems = [make_system(7, FANO), sail7, quad6, transversal_design(2),
+               make_system(8, [(2, 5, 7)]),
+               make_system(8, [(1, 3, 6), (0, 4, 7)]),
+               make_system(8, [(0, 1, 2), (0, 3, 4), (5, 6, 7)])]
+    for s in systems:
+        expected = brute_min_edge_list(s)
+        for _ in range(4):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            t = relabeled(s, perm)
+            f = canonical_form(t)
+            assert [tuple(e) for e in f.edges] == expected
+            assert_labeling_verified(t, f)
+
+
+def test_pinned_bytes_under_relabeling():
+    rng = random.Random(404)
+    systems = {"truncated-k3": truncated_design(3), "td-k4": transversal_design(4),
+               "truncated-k4": truncated_design(4), "c1-k4": build(ConstructionSpec("c1", 4))}
+    for name, s in systems.items():
+        for _ in range(20):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            t = relabeled(s, perm)
+            f = canonical_form(t)
+            assert f.to_bytes().hex() == PINNED[name], name
+            assert_labeling_verified(t, f)
 
 
 def test_golden_bytes():
@@ -75,10 +133,7 @@ def test_idempotence():
 def test_labeling_is_a_verified_isomorphism():
     rng = random.Random(44)
     s = build(ConstructionSpec("c1", 4))
-    f = canonical_form(s)
-    image = {tuple(sorted((f.labeling[a], f.labeling[b], f.labeling[c])))
-             for a, b, c in s.edges}
-    assert image == {tuple(e) for e in f.edges}
+    assert_labeling_verified(s, canonical_form(s))
 
 
 def test_is_isomorphic_basics(sail7, quad6):

@@ -6,7 +6,13 @@ import pytest
 from sailfree.cli import main
 from sailfree.constructions import ConstructionSpec, build, transversal_design
 from sailfree.core import Triple, make_system
-from sailfree.errors import LinearityViolation, ParseError, RoleShapeMismatch
+from sailfree.errors import (
+    DegenerateEdge,
+    LinearityViolation,
+    ParseError,
+    RoleShapeMismatch,
+    TripleSystemError,
+)
 from sailfree.formats import parse_system, serialize_system, system_to_json
 from sailfree.verify import formula_value, infer_k, table, verify_report
 
@@ -34,6 +40,77 @@ def test_parse_errors_carry_line_numbers():
         parse_system("")
     with pytest.raises(ParseError):
         parse_system("5 2\n0 1 2\n")  # promised two edges
+
+
+def test_parse_rejects_repeated_vertex():
+    for text in ("3 1\n0 0 1\n", '{"n": 3, "edges": [[0, 0, 1]]}'):
+        with pytest.raises(DegenerateEdge):
+            parse_system(text)
+    # callers that catch ValueError keep working
+    with pytest.raises(ValueError):
+        Triple.of((2, 2, 2))
+
+
+def _mutations(text, rng):
+    """Seeded damaged copies of a serialized system."""
+    tokens = text.split()
+    lines = text.splitlines()
+    yield text[: rng.randrange(len(text))]  # truncated anywhere
+    cut = lines[:]
+    i = rng.randrange(len(cut))
+    cut[i] = cut[i][: rng.randrange(len(cut[i]) + 1)]  # one truncated line
+    yield "\n".join(cut)
+    swapped = tokens[:]
+    i, j = rng.randrange(len(swapped)), rng.randrange(len(swapped))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield " ".join(swapped)
+    yield "\n".join(lines[:1] + lines[2:] + lines[1:2])  # edge moved to the end
+    dup = tokens[:]
+    i = rng.randrange(len(dup))
+    dup[i] = rng.choice(["-1", "x", "1.5", "[]", "null", "true", "9" * 5000,
+                         str(rng.randrange(60, 10**6)), str(rng.randrange(12)),
+                         dup[rng.randrange(len(dup))]])
+    yield " ".join(dup)
+    yield '{"n": ' + "[" * 50_000 + "]" * 50_000 + "}"  # nested past the decoder's depth
+    yield text.replace("0", "0 0", 1)
+
+
+def test_parser_fuzz_raises_only_package_errors():
+    rng = random.Random(2024)
+    seeds = [build(ConstructionSpec("c1", 3)), transversal_design(3), make_system(5, []),
+             make_system(7, SAIL7_EDGES)]
+    seeds += [random_linear_system(rng.randrange(4, 12), rng) for _ in range(6)]
+    json_edits = [
+        lambda p: p.update(n=p["n"] * 10**6),
+        lambda p: p.update(n=str(p["n"])),
+        lambda p: p.update(n=True),
+        lambda p: p.update(n=-p["n"]),
+        lambda p: p.update(edges={"0": p["edges"]}),
+        lambda p: p.update(edges=p["edges"] + [[0, 0, 1]]),
+        lambda p: p.update(edges=p["edges"] + [p["edges"][0]] if p["edges"] else []),
+        lambda p: p.update(edges=[e[:2] for e in p["edges"]] or [[0]]),
+        lambda p: p.update(edges=[[str(v) for v in e] for e in p["edges"]] or [["0"]]),
+        lambda p: p.update(edges=[[v + 0.0 for v in e] for e in p["edges"]] or [[0.0]]),
+        lambda p: p.pop("edges"),
+    ]
+    outcomes = set()
+    for s in seeds:
+        text, doc = serialize_system(s), system_to_json(s)
+        inputs = [raw for _ in range(8) for raw in (*_mutations(text, rng),
+                                                      *_mutations(doc, rng))]
+        for edit in json_edits:
+            payload = json.loads(doc)
+            edit(payload)
+            inputs.append(json.dumps(payload))
+        for raw in inputs:
+            try:
+                parse_system(raw)
+                outcomes.add("parsed")
+            except TripleSystemError as exc:
+                outcomes.add(type(exc).__name__)
+    # the corpus reaches every validation path, not only the JSON decoder
+    assert {"parsed", "ParseError", "DegenerateEdge", "VertexOutOfRange",
+            "UnsupportedSize", "LinearityViolation", "DuplicateEdge"} <= outcomes
 
 
 def test_roundtrip_text_and_json():
@@ -166,7 +243,7 @@ def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
     assert "share" in capsys.readouterr().out
     # wrongly typed JSON is a parse failure, not a traceback
     for text in ('{"n": "10", "edges": []}', '{"n": 4, "edges": [[0, 1.5, 2]]}',
-                 '{"n": 4, "edges": 5}'):
+                 '{"n": 4, "edges": 5}', '{"n": 3, "edges": [[0, 0, 1]]}', "3 1\n0 0 1\n"):
         f.write_text(text)
         assert run_cli("check", str(f)) == 1, text
         assert "FAIL" in capsys.readouterr().out
@@ -193,6 +270,8 @@ def test_cli_search_limit_exit_code(capsys):
     # a negative budget is a usage error, not an unproven maximum
     assert run_cli("search", "--n", "8", "--node-limit", "-5") == 2
     assert run_cli("search", "--n", "8", "--time-limit", "-1") == 2
+    # so is a target below one edge
+    assert run_cli("search", "--n", "8", "--target", "0") == 2
     capsys.readouterr()
 
 
@@ -268,6 +347,10 @@ def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("4 2\n0 1 2\n0 1 3\n")
     assert run_cli("canon", str(bad)) == 1
+    degenerate = tmp_path / "degenerate.txt"
+    for text in ("3 1\n0 0 1\n", '{"n": 3, "edges": [[0, 0, 1]]}'):
+        degenerate.write_text(text)
+        assert run_cli("canon", str(degenerate)) == 1, text
     good = tmp_path / "good.txt"
     good.write_text("4 1\n0 1 2\n")
     assert run_cli("iso", str(good), str(bad)) == 1
