@@ -211,11 +211,7 @@ def canonical_form(system: LinearTripleSystem) -> CanonicalForm:
 
 
 def is_isomorphic(h1: LinearTripleSystem, h2: LinearTripleSystem) -> bool:
-    if h1.n != h2.n or h1.m != h2.m:
-        return False
-    if sorted(h1.degrees()) != sorted(h2.degrees()):
-        return False
-    return canonical_form(h1) == canonical_form(h2)
+    return isomorphism(h1, h2) is not None
 
 
 def isomorphism(h1: LinearTripleSystem, h2: LinearTripleSystem) -> Optional[tuple[int, ...]]:

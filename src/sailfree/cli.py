@@ -14,12 +14,14 @@ import sys
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
+from .core import MAX_VERTICES
 from .errors import (
     DegenerateEdge,
     DuplicateEdge,
     LimitExceeded,
     LinearityViolation,
     ParseError,
+    RoleShapeMismatch,
     TripleSystemError,
     UnsupportedSize,
     VertexOutOfRange,
@@ -112,16 +114,24 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _check_failed(args, exc, is_linear: bool) -> int:
+    if args.json:
+        print(json.dumps({"is_linear": is_linear, "pass": False, "error": str(exc)}))
+    else:
+        print(f"FAIL: {exc}")
+    return EXIT_FAIL
+
+
 def cmd_check(args) -> int:
     try:
         system = parse_system(_read(args.file))
     except TripleSystemError as exc:
-        if args.json:
-            print(json.dumps({"is_linear": False, "error": str(exc)}))
-        else:
-            print(f"FAIL: {exc}")
-        return EXIT_FAIL
-    report = verify_report(system, role=args.role, k=args.k)
+        return _check_failed(args, exc, is_linear=False)
+    try:
+        report = verify_report(system, role=args.role, k=args.k)
+    except RoleShapeMismatch as exc:
+        # the wrong shape for the role fails the role, as it does under --k
+        return _check_failed(args, exc, is_linear=True)
     if args.json:
         payload = {
             "n": report.n,
@@ -157,6 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if not 3 <= args.n <= MAX_VERTICES:
+        raise ValueError(f"--n {args.n} outside supported range 3..{MAX_VERTICES}")
     opts = _search_opts(args)
     if args.enumerate:
         target = args.target

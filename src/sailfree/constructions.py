@@ -16,8 +16,9 @@ Vertex layout, fixed so outputs are reproducible:
 
 A seed randomizes every free choice that the parameters leave open (the
 2-factor, special edges, colorings of short cycles, matching extraction
-order, Latin square).  Explicitly supplied parameters always win over the
-seed.
+order, Latin square).  Every such choice follows one rule, `_pick`: an
+explicitly supplied parameter wins, else a draw from the seeded generator,
+else a fixed default.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ from .errors import (
     KTooSmall,
     NoLongCycle,
 )
+
+
+def _pick(explicit, rng: Optional[random.Random], draw, default):
+    """The explicit value if given, else draw(rng) when seeded, else the default."""
+    if explicit is not None:
+        return explicit
+    return default if rng is None else draw(rng)
 
 
 @dataclass(frozen=True)
@@ -214,43 +222,32 @@ class ConstructionSpec:
 # --- general family -------------------------------------------------------
 
 
+def _edge(cycle: list[int], r: int) -> tuple[int, int]:
+    """The edge at position r of a cycle: cycle[r] and its successor."""
+    return cycle[r], cycle[(r + 1) % len(cycle)]
+
+
+def _oriented(cycle: list[int], r: int, k: int) -> tuple[int, int]:
+    """The edge at position r as (x-vertex, y-vertex)."""
+    u, w = _edge(cycle, r)
+    return (u, w) if u < k else (w, u)
+
+
 def _long_cycle_offsets(cycle: list[int], k: int) -> list[tuple[int, int]]:
-    """All valid (a'c' position, x'y' position) pairs on the given cycle."""
-    length = len(cycle)
-    edge_at = lambda p: (cycle[p], cycle[(p + 1) % length])
-    cycle_edges = {frozenset(edge_at(p)) for p in range(length)}
-    out = []
-    for p in range(length):
-        ap, cp = edge_at(p)
-        if ap >= k:
-            ap, cp = cp, ap
-        for q in range(length):
-            u, w = edge_at(q)
-            if {u, w} & set(edge_at(p)):
-                continue
-            xp, yp = (u, w) if u < k else (w, u)
-            if frozenset((ap, yp)) in cycle_edges or frozenset((cp, xp)) in cycle_edges:
-                continue
-            out.append((p, q))
-    return out
+    """All valid (a'c' position, x'y' position) pairs on the given cycle.
 
-
-def _special_vertices(cycle: list[int], offsets: tuple[int, int], k: int):
-    """Resolve (a', c', x', y') from edge positions, validating the choice."""
-    length = len(cycle)
-    p, q = offsets
-    if not (0 <= p < length and 0 <= q < length):
-        raise BadSpecialEdges(f"offsets {offsets} outside cycle of length {length}")
-    if (p, q) not in _long_cycle_offsets(cycle, k):
-        raise BadSpecialEdges(
-            f"offsets {offsets} violate disjointness or the chord conditions"
-        )
-    ap, cp = cycle[p], cycle[(p + 1) % length]
-    if ap >= k:
-        ap, cp = cp, ap
-    u, w = cycle[q], cycle[(q + 1) % length]
-    xp, yp = (u, w) if u < k else (w, u)
-    return ap, cp, xp, yp
+    The two edges are disjoint and neither a'y' nor c'x' is a cycle edge.
+    """
+    ends = [_oriented(cycle, r, k) for r in range(len(cycle))]
+    cycle_edges = {frozenset(e) for e in ends}
+    return [
+        (p, q)
+        for p, (ap, cp) in enumerate(ends)
+        for q, (xp, yp) in enumerate(ends)
+        if not {ap, cp} & {xp, yp}
+        and frozenset((ap, yp)) not in cycle_edges
+        and frozenset((cp, xp)) not in cycle_edges
+    ]
 
 
 def _color_long_cycle(cycle: list[int], p: int, q: int, a_prime: int):
@@ -263,162 +260,114 @@ def _color_long_cycle(cycle: list[int], p: int, q: int, a_prime: int):
     length = len(cycle)
     arc1 = [r % length for r in range(p + 1, p + 1 + (q - p - 1) % length)]
     arc2 = [r % length for r in range(q + 1, q + 1 + (p - q - 1) % length)]
+    first, second = ("a", "c") if cycle[(p + 1) % length] == a_prime else ("c", "a")
     colors: dict[int, str] = {}
-    if cycle[(p + 1) % length] == a_prime:
-        starts = (("a", arc1), ("c", list(reversed(arc2))))
-    else:
-        starts = (("c", arc1), ("a", list(reversed(arc2))))
-    for anchor, arc in starts:
-        flip = {"a": "c", "c": "a"}
-        col = anchor
-        for r in arc:
-            colors[r] = col
-            col = flip[col]
+    for pair, arc in (((first, second), arc1), ((second, first), reversed(arc2))):
+        for i, r in enumerate(arc):
+            colors[r] = pair[i % 2]
     return colors
 
 
 def _resolve_two_factor(
-    spec: ConstructionSpec, rng: Optional[random.Random], for_c2: bool
+    spec: ConstructionSpec, rng: Optional[random.Random], allowed, need_one_of=None
 ) -> TwoFactorSpec:
+    """The 2-factor chosen by `_pick`; a seeded one has cycle parts from `allowed`."""
     k = spec.k
-    if spec.two_factor is not None:
-        if spec.two_factor.k != k:
-            raise ValueError("two_factor.k disagrees with spec.k")
-        return spec.two_factor
-    if rng is None:
-        return hamiltonian_two_factor(k)
-    if for_c2:
-        parts = _random_parts(k, rng, [s for s in (3, 6, 9) if s <= k])
-    else:
-        parts = _random_parts(k, rng, range(2, k + 1), need_one_of=range(3, k + 1))
-    return _random_two_factor(k, rng, parts)
+    if spec.two_factor is not None and spec.two_factor.k != k:
+        raise ValueError("two_factor.k disagrees with spec.k")
+    draw = lambda r: _random_two_factor(k, r, _random_parts(k, r, allowed, need_one_of))
+    return _pick(spec.two_factor, rng, draw, hamiltonian_two_factor(k))
 
 
-def _build_c1(spec: ConstructionSpec):
+def _assemble(variant: str, k: int, tf: TwoFactorSpec, cycles, colored, extra, rng, choices):
+    """What c1 and c2 share: the color vertices, the matchings, the system, the details.
+
+    `colored` holds (u, w, color) for the 2-factor edges and `extra` the
+    remaining edges; in both the letters 'a', 'b', 'c' stand for the color
+    vertices 3k-2, 3k-1, 3k.  The variant's own `choices` go into the
+    details between the cycles and the coloring.
+    """
+    abc = {"a": 3 * k - 2, "b": 3 * k - 1, "c": 3 * k}
+    matchings = matching_decomposition(k, tf, rng)
+    edges = [[abc.get(v, v) for v in e] for e in colored + extra]
+    edges += [(i, k + j, 2 * k + zi) for zi, mt in enumerate(matchings) for i, j in mt]
+    details = {
+        "variant": variant,
+        "k": k,
+        "sigma": list(tf.sigma),
+        "tau": list(tf.tau),
+        "cycles": cycles,
+        **choices,
+        "coloring": [list(e) for e in colored],
+        "matchings": [[[i, k + j] for (i, j) in mt] for mt in matchings],
+        "abc": list(abc.values()),
+    }
+    return make_system(3 * k + 1, edges), details
+
+
+def _build_c1(spec: ConstructionSpec, rng: Optional[random.Random]):
     k = spec.k
     if k < 3:
         raise KTooSmall(f"construction c1 needs k >= 3, got {k}")
-    rng = random.Random(spec.seed) if spec.seed is not None else None
-    tf = _resolve_two_factor(spec, rng, for_c2=False)
+    tf = _resolve_two_factor(spec, rng, range(2, k + 1), need_one_of=range(3, k + 1))
     cycles = two_factor(tf)
     eligible = [i for i, c in enumerate(cycles) if len(c) >= 6]
     if not eligible:
         raise NoLongCycle("no cycle of the 2-factor has length >= 6")
     # explicit offsets are positions on the designated cycle, so the
     # designation must not depend on the seed then
-    if rng is not None and spec.special_edge_offsets is None:
-        long_idx = rng.choice(eligible)
-    else:
-        long_idx = eligible[0]
+    pinned = eligible[0] if spec.special_edge_offsets is not None else None
+    long_idx = _pick(pinned, rng, lambda r: r.choice(eligible), eligible[0])
     cyc = cycles[long_idx]
-    length = len(cyc)
-
-    if spec.special_edge_offsets is not None:
-        offsets = spec.special_edge_offsets
-    elif rng is not None:
-        offsets = rng.choice(_long_cycle_offsets(cyc, k))
-    else:
-        offsets = (0, 3)
-    a_pr, c_pr, x_pr, y_pr = _special_vertices(cyc, offsets, k)
+    valid = _long_cycle_offsets(cyc, k)
+    offsets = _pick(spec.special_edge_offsets, rng, lambda r: r.choice(valid), (0, 3))
     p, q = offsets
+    if (p, q) not in valid:
+        raise BadSpecialEdges(
+            f"offsets {offsets} are not two disjoint edges of the {len(cyc)}-cycle "
+            "that meet the chord conditions"
+        )
+    a_pr, c_pr = _oriented(cyc, p, k)
+    x_pr, y_pr = _oriented(cyc, q, k)
 
-    za, zb, zc = 3 * k - 2, 3 * k - 1, 3 * k
-    color_vertex = {"a": za, "b": zb, "c": zc}
-    colored: list[tuple[int, int, str]] = []
-
-    long_colors = _color_long_cycle(cyc, p, q, a_pr)
-    for r, col in long_colors.items():
-        colored.append((cyc[r], cyc[(r + 1) % length], col))
+    colored = [(*_edge(cyc, r), col) for r, col in _color_long_cycle(cyc, p, q, a_pr).items()]
     colored.append((x_pr, y_pr, "b"))
-    for i, other in enumerate(cycles):
-        if i == long_idx:
-            continue
-        phase = rng.randrange(2) if rng is not None else 0
-        for r in range(len(other)):
-            col = "ac"[(r + phase) % 2]
-            colored.append((other[r], other[(r + 1) % len(other)], col))
-
-    edges = [(u, w, color_vertex[col]) for (u, w, col) in colored]
-    matchings = matching_decomposition(k, tf, rng)
-    for zi, matching in enumerate(matchings):
-        for (i, j) in matching:
-            edges.append((i, k + j, 2 * k + zi))
-    edges.append((a_pr, zb, zc))
-    edges.append((c_pr, za, zb))
-
-    system = make_system(3 * k + 1, edges)
-    details = {
-        "variant": "c1",
-        "k": k,
-        "sigma": list(tf.sigma),
-        "tau": list(tf.tau),
-        "cycles": cycles,
+    # every other cycle alternates a and c from its phase
+    for other in cycles[:long_idx] + cycles[long_idx + 1:]:
+        phase = _pick(None, rng, lambda r: r.randrange(2), 0)
+        colored += [(*_edge(other, r), "ac"[(r + phase) % 2]) for r in range(len(other))]
+    choices = {
         "long_cycle_index": long_idx,
         "special_edge_offsets": list(offsets),
         "a_prime": a_pr,
         "c_prime": c_pr,
         "x_prime": x_pr,
         "y_prime": y_pr,
-        "coloring": [[u, w, col] for (u, w, col) in colored],
-        "matchings": [[[i, k + j] for (i, j) in mt] for mt in matchings],
-        "abc": [za, zb, zc],
     }
-    return system, details
+    extra = [(a_pr, "b", "c"), (c_pr, "a", "b")]
+    return _assemble("c1", k, tf, cycles, colored, extra, rng, choices)
 
 
-def _c2_cycle_coloring(length: int, rot: int, flip: bool) -> list[str]:
-    seq = "abc" if not flip else "acb"
-    return [seq[(r + rot) % 3] for r in range(length)]
-
-
-def _build_c2(spec: ConstructionSpec, _colorings: Optional[list[tuple[int, bool]]] = None):
+def _build_c2(spec: ConstructionSpec, rng: Optional[random.Random], colorings=None):
     k = spec.k
     if k < 3:
         raise KTooSmall(f"construction c2 needs k >= 3, got {k}")
     if k % 3:
         raise DivisibilityViolation(f"construction c2 needs 3 | k, got k={k}")
-    rng = random.Random(spec.seed) if spec.seed is not None else None
-    tf = _resolve_two_factor(spec, rng, for_c2=True)
+    tf = _resolve_two_factor(spec, rng, [s for s in (3, 6, 9) if s <= k])
     cycles = two_factor(tf)
     if any(len(c) % 6 for c in cycles):
         raise BadCycleLengths("every 2-factor cycle must have length divisible by 6")
 
-    za, zb, zc = 3 * k - 2, 3 * k - 1, 3 * k
-    color_vertex = {"a": za, "b": zb, "c": zc}
-    colored: list[tuple[int, int, str]] = []
-    coloring_choices = []
-    for ci, cyc in enumerate(cycles):
-        if _colorings is not None:
-            rot, flip = _colorings[ci]
-        elif rng is not None:
-            rot, flip = rng.randrange(3), bool(rng.randrange(2))
-        else:
-            rot, flip = 0, False
-        coloring_choices.append((rot, flip))
-        cols = _c2_cycle_coloring(len(cyc), rot, flip)
-        for r in range(len(cyc)):
-            colored.append((cyc[r], cyc[(r + 1) % len(cyc)], cols[r]))
-
-    edges = [(u, w, color_vertex[col]) for (u, w, col) in colored]
-    matchings = matching_decomposition(k, tf, rng)
-    for zi, matching in enumerate(matchings):
-        for (i, j) in matching:
-            edges.append((i, k + j, 2 * k + zi))
-    edges.append((za, zb, zc))
-
-    system = make_system(3 * k + 1, edges)
-    details = {
-        "variant": "c2",
-        "k": k,
-        "sigma": list(tf.sigma),
-        "tau": list(tf.tau),
-        "cycles": cycles,
-        "cycle_colorings": [list(t) for t in coloring_choices],
-        "coloring": [[u, w, col] for (u, w, col) in colored],
-        "matchings": [[[i, k + j] for (i, j) in mt] for mt in matchings],
-        "abc": [za, zb, zc],
-    }
-    return system, details
+    # each cycle reads abcabc... (or acbacb... when flipped), rotated by rot
+    draw = lambda r: [(r.randrange(3), bool(r.randrange(2))) for _ in cycles]
+    colorings = _pick(colorings, rng, draw, [(0, False)] * len(cycles))
+    colored = []
+    for cyc, (rot, flip) in zip(cycles, colorings):
+        seq = "acb" if flip else "abc"
+        colored += [(*_edge(cyc, r), seq[(r + rot) % 3]) for r in range(len(cyc))]
+    choices = {"cycle_colorings": [list(t) for t in colorings]}
+    return _assemble("c2", k, tf, cycles, colored, [("a", "b", "c")], rng, choices)
 
 
 # --- small family (k = 3) -------------------------------------------------
@@ -428,29 +377,18 @@ _X_TRIANGLE = ((_X1, _X2), (_X2, _X3), (_X3, _X1))
 _Y_TRIANGLE = ((_Y1, _Y2), (_Y2, _Y3), (_Y3, _Y1))
 
 
-def _build_c3(spec: ConstructionSpec):
-    rng = random.Random(spec.seed) if spec.seed is not None else None
-    if spec.triangle_perms is not None:
-        px, py = spec.triangle_perms
-    elif rng is not None:
-        px = "".join(rng.sample("abc", 3))
-        py = "".join(rng.sample("abc", 3))
-    else:
-        px, py = "abc", "abc"
+def _build_c3(spec: ConstructionSpec, rng: Optional[random.Random]):
+    draw = lambda r: tuple("".join(r.sample("abc", 3)) for _ in range(2))
+    px, py = _pick(spec.triangle_perms, rng, draw, ("abc", "abc"))
     for perm in (px, py):
         if sorted(perm) != ["a", "b", "c"]:
             raise BadColorAssignment(f"{perm!r} is not a permutation of 'abc'")
 
     color_vertex = {"a": _A, "b": _B, "c": _C}
-    edges = [(_X1, _Y1, _V), (_X2, _Y2, _V), (_X3, _Y3, _V)]
-    for (u, w), col in zip(_X_TRIANGLE, px):
-        edges.append((u, w, color_vertex[col]))
-    for (u, w), col in zip(_Y_TRIANGLE, py):
-        edges.append((u, w, color_vertex[col]))
-    edges.append((_A, _B, _C))
-    system = make_system(10, edges)
-    details = {"variant": "c3", "k": 3, "triangle_perms": [px, py]}
-    return system, details
+    edges = [(_X1, _Y1, _V), (_X2, _Y2, _V), (_X3, _Y3, _V), (_A, _B, _C)]
+    for triangle, perm in ((_X_TRIANGLE, px), (_Y_TRIANGLE, py)):
+        edges += [(u, w, color_vertex[col]) for (u, w), col in zip(triangle, perm)]
+    return make_system(10, edges), {"variant": "c3", "k": 3, "triangle_perms": [px, py]}
 
 
 _MV_VARIANTS = {
@@ -460,14 +398,8 @@ _MV_VARIANTS = {
 }
 
 
-def _build_c4(spec: ConstructionSpec):
-    rng = random.Random(spec.seed) if spec.seed is not None else None
-    if spec.mv_variant is not None:
-        variant = spec.mv_variant
-    elif rng is not None:
-        variant = rng.choice((1, 2, 3))
-    else:
-        variant = 1
+def _build_c4(spec: ConstructionSpec, rng: Optional[random.Random]):
+    variant = _pick(spec.mv_variant, rng, lambda r: r.choice((1, 2, 3)), 1)
     if variant not in _MV_VARIANTS:
         raise BadVariant(f"mv_variant must be 1, 2 or 3, got {variant}")
 
@@ -475,13 +407,10 @@ def _build_c4(spec: ConstructionSpec):
         (_Y1, _Y2, _A), (_X1, _X2, _A),
         (_X2, _X3, _B),
         (_Y1, _Y3, _C), (_X1, _X3, _C),
+        (_A, _B, _Y3), (_B, _C, _Y2),
     ]
     edges += [(u, w, _V) for (u, w) in _MV_VARIANTS[variant]]
-    edges.append((_A, _B, _Y3))
-    edges.append((_B, _C, _Y2))
-    system = make_system(10, edges)
-    details = {"variant": "c4", "k": 3, "mv_variant": variant}
-    return system, details
+    return make_system(10, edges), {"variant": "c4", "k": 3, "mv_variant": variant}
 
 
 # --- design baselines -----------------------------------------------------
@@ -518,8 +447,8 @@ def transversal_design(k: int, latin=None, seed: Optional[int] = None) -> Linear
     """T(3k, 3): groups X, Y, Z of size k; every cross-group pair covered once."""
     if k < 1:
         raise KTooSmall(f"transversal design needs k >= 1, got {k}")
-    if latin is None:
-        latin = _random_latin(k, random.Random(seed)) if seed is not None else _cyclic_latin(k)
+    rng = random.Random(seed) if seed is not None else None
+    latin = _pick(latin, rng, lambda r: _random_latin(k, r), _cyclic_latin(k))
     _check_latin(latin, k)
     edges = [(i, k + j, 2 * k + latin[i][j]) for i in range(k) for j in range(k)]
     return make_system(3 * k, edges)
@@ -537,6 +466,8 @@ def truncated_design(k: int, seed: Optional[int] = None) -> LinearTripleSystem:
 
 # --- dispatch -------------------------------------------------------------
 
+_BUILDERS = {"c1": _build_c1, "c2": _build_c2, "c3": _build_c3, "c4": _build_c4}
+
 
 def build(spec: ConstructionSpec) -> LinearTripleSystem:
     return build_resolved(spec)[0]
@@ -544,21 +475,12 @@ def build(spec: ConstructionSpec) -> LinearTripleSystem:
 
 def build_resolved(spec: ConstructionSpec):
     """Build a system and return it with the fully resolved parameter choices."""
-    if spec.variant == "c1":
-        return _build_c1(spec)
-    if spec.variant == "c2":
-        return _build_c2(spec)
-    if spec.variant == "c3":
-        return _build_c3(spec)
-    if spec.variant == "c4":
-        return _build_c4(spec)
     if spec.variant == "td":
-        system = transversal_design(spec.k, spec.latin, spec.seed)
-        return system, {"variant": "td", "k": spec.k}
+        return transversal_design(spec.k, spec.latin, spec.seed), {"variant": "td", "k": spec.k}
     if spec.variant == "truncated":
-        system = truncated_design(spec.k, spec.seed)
-        return system, {"variant": "truncated", "k": spec.k}
-    raise ValueError(f"unknown construction variant {spec.variant!r}")
+        return truncated_design(spec.k, spec.seed), {"variant": "truncated", "k": spec.k}
+    rng = random.Random(spec.seed) if spec.seed is not None else None
+    return _BUILDERS[spec.variant](spec, rng)
 
 
 # --- parameter sweeps -----------------------------------------------------
@@ -588,9 +510,8 @@ def k3_full_sweep() -> list[tuple[str, LinearTripleSystem]]:
             out.append((f"c1 sigma={tf.sigma} tau={tf.tau} offsets={offsets}", build(spec)))
         for rot in range(3):
             for flip in (False, True):
-                system, _ = _build_c2(
-                    ConstructionSpec("c2", 3, two_factor=tf), _colorings=[(rot, flip)]
-                )
+                spec = ConstructionSpec("c2", 3, two_factor=tf)
+                system, _ = _build_c2(spec, None, colorings=[(rot, flip)])
                 out.append((f"c2 sigma={tf.sigma} tau={tf.tau} rot={rot} flip={flip}", system))
     for px in itertools.permutations("abc"):
         for py in itertools.permutations("abc"):

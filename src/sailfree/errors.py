@@ -92,8 +92,3 @@ class RoleShapeMismatch(TripleSystemError):
 
 class LimitExceeded(TripleSystemError):
     """Node or time budget exhausted before the search finished."""
-
-    def __init__(self, message, nodes=None, elapsed=None):
-        self.nodes = nodes
-        self.elapsed = elapsed
-        super().__init__(message)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
-from .core import LinearTripleSystem, Triple
+from .core import MAX_VERTICES, LinearTripleSystem, Triple
 from .errors import LimitExceeded, UnsupportedSize
 from .sails import SailGuard
 
@@ -255,8 +255,8 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     node or time limit the flag may come back False, and max_edges is only
     a lower bound.  nodes_explored counts attempted edge additions.
     """
-    if not 3 <= n <= 64:
-        raise UnsupportedSize(f"n={n} outside supported range 3..64")
+    if not 3 <= n <= MAX_VERTICES:
+        raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     start = time.monotonic()
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
@@ -286,8 +286,8 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """
-    if not 3 <= n <= 64:
-        raise UnsupportedSize(f"n={n} outside supported range 3..64")
+    if not 3 <= n <= MAX_VERTICES:
+        raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     if m < 1:
         raise ValueError("m must be >= 1")
     roots = [0] if wlog_first_edge else list(range(len(_tables(n)[0])))

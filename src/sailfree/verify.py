@@ -16,12 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LinearTripleSystem, deficiency
+from .core import MAX_VERTICES, LinearTripleSystem, deficiency
 from .errors import RoleShapeMismatch
 from .sails import SailWitness, find_sail_fast
 from .search import SearchOptions, SearchReport, max_sail_free
 
-ROLES = ("extremal-3k+1", "td", "truncated")
+# role -> (n - 3k, edge count as a function of k, the role's own condition
+# on (max degree, sorted degrees, k, total deficiency))
+_SHAPES = {
+    "extremal-3k+1": (1, lambda k: k * k + 1, lambda top, degs, k, d: top == k and d == k - 3),
+    "td": (0, lambda k: k * k, lambda top, degs, k, d: degs == [k] * len(degs)),
+    "truncated": (2, lambda k: k * k + k, lambda top, degs, k, d: True),
+}
+ROLES = tuple(_SHAPES)
 
 
 @dataclass(frozen=True)
@@ -44,13 +51,16 @@ class VerificationReport:
         return self.sail_witness is None
 
 
+def _shape(role: str):
+    if role not in _SHAPES:
+        raise RoleShapeMismatch(f"unknown role {role!r}; expected one of {ROLES}")
+    return _SHAPES[role]
+
+
 def infer_k(n: int, role: Optional[str] = None) -> int:
     """k such that n = 3k+1, 3k or 3k+2, per role or from n alone."""
-    residues = {"extremal-3k+1": 1, "td": 0, "truncated": 2}
     if role is not None:
-        if role not in residues:
-            raise RoleShapeMismatch(f"unknown role {role!r}")
-        r = residues[role]
+        r = _shape(role)[0]
         if n % 3 != r:
             raise RoleShapeMismatch(f"role {role} needs n = 3k+{r}, got n={n}")
     return n // 3
@@ -61,8 +71,7 @@ def verify_report(
     role: Optional[str] = None,
     k: Optional[int] = None,
 ) -> VerificationReport:
-    if role is not None and role not in ROLES:
-        raise RoleShapeMismatch(f"unknown role {role!r}; expected one of {ROLES}")
+    shape = None if role is None else _shape(role)
     if k is None:
         k = infer_k(system.n, role)
     witness = find_sail_fast(system)
@@ -70,26 +79,13 @@ def verify_report(
     max_deg = degs[-1] if degs else 0
     def_total = deficiency(system, range(system.n), k)
     role_pass = None
-    if role == "extremal-3k+1":
+    if shape is not None:
+        residue, edge_count, condition = shape
         role_pass = (
-            system.n == 3 * k + 1
-            and system.m == k * k + 1
+            system.n == 3 * k + residue
+            and system.m == edge_count(k)
             and witness is None
-            and max_deg == k
-            and def_total == k - 3
-        )
-    elif role == "td":
-        role_pass = (
-            system.n == 3 * k
-            and system.m == k * k
-            and witness is None
-            and degs == [k] * system.n
-        )
-    elif role == "truncated":
-        role_pass = (
-            system.n == 3 * k + 2
-            and system.m == k * k + k
-            and witness is None
+            and condition(max_deg, degs, k, def_total)
         )
     return VerificationReport(
         n=system.n,
@@ -135,8 +131,8 @@ class TableRow:
 
 def table(n_min: int, n_max: int, opts: SearchOptions = SearchOptions()) -> list[TableRow]:
     """One search per n with the applicable formula and a match verdict."""
-    if n_min < 4:
-        raise ValueError("table starts at n >= 4")
+    if not 4 <= n_min <= n_max <= MAX_VERTICES:
+        raise ValueError(f"table needs 4 <= from <= to <= {MAX_VERTICES}, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         report: SearchReport = max_sail_free(n, opts)

@@ -243,7 +243,8 @@ def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
     assert "share" in capsys.readouterr().out
     # wrongly typed JSON is a parse failure, not a traceback
     for text in ('{"n": "10", "edges": []}', '{"n": 4, "edges": [[0, 1.5, 2]]}',
-                 '{"n": 4, "edges": 5}', '{"n": 3, "edges": [[0, 0, 1]]}', "3 1\n0 0 1\n"):
+                 '{"n": 4, "edges": 5}', '{"n": 3, "edges": [[0, 0, 1]]}', "3 1\n0 0 1\n",
+                 "65 1\n0 1 2\n"):
         f.write_text(text)
         assert run_cli("check", str(f)) == 1, text
         assert "FAIL" in capsys.readouterr().out
@@ -255,6 +256,15 @@ def test_cli_check_json(tmp_path, capsys):
     assert run_cli("check", str(f), "--role", "td", "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True and payload["m"] == 9
+    # a file of the wrong shape for its role fails the role, with or without --k
+    f.write_text(serialize_system(build(ConstructionSpec("c1", 3))))
+    assert run_cli("check", str(f), "--role", "td") == 1
+    assert "FAIL: role td needs n = 3k+0, got n=10" in capsys.readouterr().out
+    assert run_cli("check", str(f), "--role", "td", "--k", "3") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    assert run_cli("check", str(f), "--role", "td", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False and "3k+0" in payload["error"]
 
 
 def test_cli_search_and_json(capsys):
@@ -272,7 +282,12 @@ def test_cli_search_limit_exit_code(capsys):
     assert run_cli("search", "--n", "8", "--time-limit", "-1") == 2
     # so is a target below one edge
     assert run_cli("search", "--n", "8", "--target", "0") == 2
-    capsys.readouterr()
+    # and an n outside 3..64, before any search runs
+    assert run_cli("search", "--n", "2") == 2
+    assert run_cli("search", "--n", "65", "--enumerate") == 2
+    assert run_cli("table", "--from", "4", "--to", "65") == 2
+    assert run_cli("table", "--from", "5", "--to", "4") == 2
+    assert "outside supported range 3..64" in capsys.readouterr().err
 
 
 def test_cli_search_enumerate(capsys):
