@@ -14,6 +14,36 @@ pair-compatible candidate triples, and the per-vertex capacity
 sum(floor((n-1-|N(v)|)/2))//3 (a vertex of a linear system gains at most
 one edge per two unseen vertices).
 
+Both bounds are evaluated before the guard is touched, so a child that
+cannot exceed the bound costs no push.  The bound never falls during a
+run (leaf policies return at least the old bound, and the shared best
+only rises), so a test that fails for one child fails for every later
+child of the same node.  The three steps:
+
+1. Capacity once per node.  An accepted edge {a,b,c} is linear with the
+   stack, so each of its vertices gains exactly two unseen neighbours,
+   and each of their floor((n-1-|N(v)|)/2) falls by exactly 1.  Every
+   child therefore has capacity cap-3, and a child with s+1 edges passes
+   the capacity test iff s + cap//3 exceeds the bound.  That test does
+   not depend on the child, so the node evaluates it once on entry and
+   returns when it fails.  After the leaf check s <= bound, so cap < 3
+   (where no push can succeed) always returns.
+2. Count cut on the loop.  A child's candidates are a subset of the
+   candidates after it, so once s + len(cands) - pos <= bound no later
+   child can pass the count test, and the node returns.
+3. Filter before pushing.  Every candidate list is pair-compatible with
+   the stack, so the child's candidates after pushing triple t are the
+   later candidates whose pairs avoid t's pairs, which can be computed
+   before the push.  The guard is asked only for a child that passes the
+   count test; its answer then decides whether the child is expanded.
+
+Every expanded node and every leaf is the same, in the same order, as
+when both bounds ran on the grown stack after each push; only pushes of
+children that would never be expanded are dropped.  (When a leaf raises
+the bound in the middle of a node's loop, a later child that now fails
+the capacity test may still be pushed; its own entry test returns at
+once, before any leaf or push.)
+
 For the maximum, the first edge is fixed to {0,1,2}: any nonempty system
 can be relabeled so that an edge lands there, and {0,1,2} is the smallest
 triple, so the restriction loses no value.  The same relabeling argument
@@ -62,6 +92,14 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """The outcome of max_sail_free.
+
+    nodes_explored counts the guard push attempts: the children that
+    passed both bounds and were handed to the guard, accepted or not
+    (in parallel runs, also the probes that split the tree into tasks).
+    Children the bounds rule out before the push are not counted.
+    """
+
     n: int
     max_edges: int
     witness: LinearTripleSystem
@@ -140,12 +178,13 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
 
     Every node with more edges than the bound goes to leaf(stack), which
     returns the new bound; the node is extended only if it no longer
-    exceeds that bound.  A child is pruned when it cannot exceed the bound.
-    Reaching stop_at edges ends the run: it is the proof threshold, at
-    which every other branch is prunable.  shared_best, a value shared by
-    pool workers, raises the bound whenever another worker has done better.
+    exceeds that bound.  A child is pruned, before its push, when it
+    cannot exceed the bound.  Reaching stop_at edges ends the run: it is
+    the proof threshold, at which every other branch is prunable.
+    shared_best, a value shared by pool workers, raises the bound whenever
+    another worker has done better.
 
-    Returns (nodes, clean): attempted edge additions, and False when the
+    Returns (nodes, clean): guard push attempts, and False when the
     budget cut the run short.
     """
     triples, vmasks, pmasks = _tables(n)
@@ -172,27 +211,28 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
             done = size >= stop_at
             if done or size > bound:
                 return
-        for pos in range(len(cands)):
-            if done:
+        cap = 0
+        for v in range(n):
+            cap += (n - 1 - nbr[v].bit_count()) >> 1
+        if size + cap // 3 <= bound:
+            return
+        for pos, ti in enumerate(cands):
+            if done or size + len(cands) - pos <= bound:
                 return
+            pm = pmasks[ti]
+            rest = [u for u in cands[pos + 1:] if pmasks[u] & pm == 0]
+            if size + 1 + len(rest) <= bound:
+                continue
             unchecked += 1
             if unchecked >= _CHECK_EVERY:
                 if budget.spend(unchecked):
                     done = True
                     return
                 unchecked = 0
-            ti = cands[pos]
             nodes += 1
-            if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
+            if guard._push_fast(triples[ti], vmasks[ti], pm):
                 continue
-            pairs = guard._pairs
-            rest = [u for u in cands[pos + 1:] if pmasks[u] & pairs == 0]
-            if size + 1 + len(rest) > bound:
-                cap = 0
-                for v in range(n):
-                    cap += (n - 1 - nbr[v].bit_count()) >> 1
-                if size + 1 + cap // 3 > bound:
-                    rec(rest)
+            rec(rest)
             guard._pop_fast()
 
     rec(base)
@@ -253,7 +293,9 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     the tree was fully explored, or the best system reached the theoretical
     upper bound, at which point every open branch is prunable.  With a
     node or time limit the flag may come back False, and max_edges is only
-    a lower bound.  nodes_explored counts attempted edge additions.
+    a lower bound.  nodes_explored counts guard push attempts, which the
+    node limit also counts; children pruned by a bound before their push
+    are not counted (n=8 takes 2,538, n=10 about 4.3M).
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")

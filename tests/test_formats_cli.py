@@ -356,6 +356,13 @@ def test_cli_construct_json_output(capsys):
 def test_cli_usage_error_exit_code(capsys):
     assert run_cli("construct", "--type", "c2", "--k", "4") == 2  # 3 | k violated
     capsys.readouterr()
+    # a k whose n exceeds 64 is at fault, not a verification failure
+    assert run_cli("construct", "--type", "td", "--k", "30") == 2
+    assert "n=90 outside supported range 3..64" in capsys.readouterr().err
+    for offsets in ("0", "0,3,5"):
+        assert run_cli("construct", "--type", "c1", "--k", "3",
+                       "--special-edges", offsets) == 2, offsets
+        assert "needs two cycle positions" in capsys.readouterr().err
 
 
 def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):

@@ -3,9 +3,13 @@ import pytest
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
 from sailfree.errors import LimitExceeded, UnsupportedSize
-from sailfree.sails import find_sail_bruteforce
+from sailfree.sails import SailGuard, find_sail_bruteforce
 from sailfree.search import (
+    _CHECK_EVERY,
     SearchOptions,
+    _Budget,
+    _dfs,
+    _tables,
     enumerate_extremal,
     max_sail_free,
     upper_bound,
@@ -28,7 +32,16 @@ def test_small_maxima_match_known_values():
         assert report.max_edges == want, n
         if n == 8:
             # pins the serial traversal: order, pruning and node counting
-            assert report.nodes_explored == 7454
+            assert report.nodes_explored == 2538
+
+
+@pytest.mark.nightly
+def test_n10_maximum_is_proven():
+    report = max_sail_free(10)
+    assert report.max_edges == 10
+    assert report.exhausted
+    # pins the serial traversal at the size of the paper's n = 3k+1 value
+    assert report.nodes_explored == 4339115
 
 
 def test_witness_is_valid_and_sail_free():
@@ -122,3 +135,89 @@ def test_report_fields_consistent():
     assert r.nodes_explored >= 1
     assert r.elapsed >= 0
     assert r.max_edges <= upper_bound(6)
+
+
+def _push_first_dfs(n, prefix, bound, stop_at, budget, leaf):
+    """The serial kernel as it was before its bounds moved ahead of the push.
+
+    Every pair-compatible candidate is pushed; the candidate-count and
+    per-vertex capacity bounds are then evaluated on the grown stack.  It is
+    the reference for the traversal: the kernel must reach the same leaves
+    in the same order.
+    """
+    triples, vmasks, pmasks = _tables(n)
+    guard = SailGuard(n)
+    for t in prefix:
+        if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
+            raise ValueError("invalid search prefix")
+    stack = guard._stack
+    nbr = guard._nbr
+    nodes = 0
+    unchecked = 0
+    done = False
+
+    base = [u for u in range(prefix[-1] + 1 if prefix else 0, len(triples))
+            if pmasks[u] & guard._pairs == 0]
+
+    def rec(cands):
+        nonlocal bound, nodes, unchecked, done
+        size = len(stack)
+        if size > bound:
+            bound = leaf(stack)
+            done = size >= stop_at
+            if done or size > bound:
+                return
+        for pos in range(len(cands)):
+            if done:
+                return
+            unchecked += 1
+            if unchecked >= _CHECK_EVERY:
+                if budget.spend(unchecked):
+                    done = True
+                    return
+                unchecked = 0
+            ti = cands[pos]
+            nodes += 1
+            if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
+                continue
+            pairs = guard._pairs
+            rest = [u for u in cands[pos + 1:] if pmasks[u] & pairs == 0]
+            if size + 1 + len(rest) > bound:
+                cap = 0
+                for v in range(n):
+                    cap += (n - 1 - nbr[v].bit_count()) >> 1
+                if size + 1 + cap // 3 > bound:
+                    rec(rest)
+            guard._pop_fast()
+
+    rec(base)
+    budget.spend(unchecked)
+    return nodes, not budget.exceeded
+
+
+def _leaf_sequence(dfs, n, roots, bound, stop_at, enumerate_m=None):
+    """The stacks handed to the leaf policy, in order, over the given roots."""
+    seen = []
+
+    def leaf(stack):
+        seen.append(tuple(stack))
+        return enumerate_m - 1 if enumerate_m is not None else len(stack)
+
+    for r in roots:
+        _, clean = dfs(n, (r,), bound, stop_at, _Budget(None, None), leaf)
+        assert clean
+    return seen
+
+
+def test_kernel_reaches_the_push_first_leaves():
+    for n in range(4, 9):
+        args = (n, [0], 1, upper_bound(n))
+        want = _leaf_sequence(_push_first_dfs, *args)
+        assert _leaf_sequence(_dfs, *args) == want, n
+        assert max(map(len, want), default=1) == max_sail_free(n).max_edges
+    for n, m, roots in ((7, 4, [0]), (8, 5, [0]), (8, 6, [0]), (9, 9, [0]),
+                        (7, 4, range(len(_tables(7)[0])))):
+        args = (n, roots, m - 1, m + 1, m)
+        want = _leaf_sequence(_push_first_dfs, *args)
+        assert want, (n, m)
+        assert _leaf_sequence(_dfs, *args) == want, (n, m)
