@@ -20,22 +20,30 @@ run (leaf policies return at least the old bound, and the shared best
 only rises), so a test that fails for one child fails for every later
 child of the same node.  The three steps:
 
-1. Capacity once per node.  An accepted edge {a,b,c} is linear with the
+1. Capacity carried down.  An accepted edge {a,b,c} is linear with the
    stack, so each of its vertices gains exactly two unseen neighbours,
    and each of their floor((n-1-|N(v)|)/2) falls by exactly 1.  Every
-   child therefore has capacity cap-3, and a child with s+1 edges passes
-   the capacity test iff s + cap//3 exceeds the bound.  That test does
-   not depend on the child, so the node evaluates it once on entry and
-   returns when it fails.  After the leaf check s <= bound, so cap < 3
-   (where no push can succeed) always returns.
+   child therefore has capacity cap-3: the capacity is computed once,
+   after the prefix, and each child is handed cap-3.  A child with s+1
+   edges passes the capacity test iff s + cap//3 exceeds the bound.  That
+   test does not depend on the child, so the node evaluates it once on
+   entry and returns when it fails.  After the leaf check s <= bound, so
+   cap < 3 (where no push can succeed) always returns.
 2. Count cut on the loop.  A child's candidates are a subset of the
-   candidates after it, so once s + len(cands) - pos <= bound no later
-   child can pass the count test, and the node returns.
-3. Filter before pushing.  Every candidate list is pair-compatible with
+   candidates after it, so once s plus the number of candidates not yet
+   tried (the current one included) is at most the bound, no later child
+   can pass the count test, and the node returns.
+3. Filter before pushing.  Every candidate set is pair-compatible with
    the stack, so the child's candidates after pushing triple t are the
    later candidates whose pairs avoid t's pairs, which can be computed
    before the push.  The guard is asked only for a child that passes the
    count test; its answer then decides whether the child is expanded.
+
+A node's candidates are one int bit mask over triple indices.  For each
+triple t = {a,b,c}, _pair_masks holds the masks of the triples through
+{a,b}, {a,c} and {b,c}, so the child's candidates after t are the later
+bits less those three masks, and the count tests are bit counts.  The
+loop takes set bits from low to high, which is lexicographic order.
 
 Every expanded node and every leaf is the same, in the same order, as
 when both bounds ran on the grown stack after each push; only pushes of
@@ -86,7 +94,7 @@ class SearchOptions:
             raise ValueError("worker_count must be >= 1")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be >= 0")
-        if self.time_limit is not None and self.time_limit < 0:
+        if self.time_limit is not None and not self.time_limit >= 0:  # also NaN
             raise ValueError("time_limit must be >= 0")
 
 
@@ -141,6 +149,25 @@ def _tables(n: int):
     return tuple(triples), tuple(vmasks), tuple(pmasks)
 
 
+@lru_cache(maxsize=None)
+def _pair_masks(n: int):
+    """For each triple index, the triples through each of its three pairs.
+
+    Entry i holds three bit masks over triple indices, for the pairs
+    {a,b}, {a,c} and {b,c} of triple i = {a,b,c}; triples sharing a pair
+    share the mask object.
+    """
+    triples = _tables(n)[0]
+    through = [0] * (n * n)
+    for i, (a, b, c) in enumerate(triples):
+        bit = 1 << i
+        through[a * n + b] |= bit
+        through[a * n + c] |= bit
+        through[b * n + c] |= bit
+    return tuple((through[a * n + b], through[a * n + c], through[b * n + c])
+                 for a, b, c in triples)
+
+
 class _Budget:
     """Node and wall-clock budget, optionally shared across workers."""
 
@@ -188,20 +215,20 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
     budget cut the run short.
     """
     triples, vmasks, pmasks = _tables(n)
+    through = _pair_masks(n)
     guard = SailGuard(n)
+    base = (1 << len(triples)) - (1 << (prefix[-1] + 1 if prefix else 0))
     for t in prefix:
         if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
             raise ValueError("invalid search prefix")
+        ab, ac, bc = through[t]
+        base &= ~(ab | ac | bc)
     stack = guard._stack
-    nbr = guard._nbr
     nodes = 0
     unchecked = 0
     done = False
 
-    base = [u for u in range(prefix[-1] + 1 if prefix else 0, len(triples))
-            if pmasks[u] & guard._pairs == 0]
-
-    def rec(cands):
+    def rec(cands, cap):
         nonlocal bound, nodes, unchecked, done
         size = len(stack)
         if shared_best is not None and shared_best.value > bound:
@@ -211,17 +238,17 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
             done = size >= stop_at
             if done or size > bound:
                 return
-        cap = 0
-        for v in range(n):
-            cap += (n - 1 - nbr[v].bit_count()) >> 1
         if size + cap // 3 <= bound:
             return
-        for pos, ti in enumerate(cands):
-            if done or size + len(cands) - pos <= bound:
+        while cands:
+            if done or size + cands.bit_count() <= bound:
                 return
-            pm = pmasks[ti]
-            rest = [u for u in cands[pos + 1:] if pmasks[u] & pm == 0]
-            if size + 1 + len(rest) <= bound:
+            low = cands & -cands
+            cands ^= low
+            ti = low.bit_length() - 1
+            ab, ac, bc = through[ti]
+            rest = cands & ~(ab | ac | bc)
+            if size + 1 + rest.bit_count() <= bound:
                 continue
             unchecked += 1
             if unchecked >= _CHECK_EVERY:
@@ -230,12 +257,12 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
                     return
                 unchecked = 0
             nodes += 1
-            if guard._push_fast(triples[ti], vmasks[ti], pm):
+            if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
                 continue
-            rec(rest)
+            rec(rest, cap - 3)
             guard._pop_fast()
 
-    rec(base)
+    rec(base, sum((n - 1 - d.bit_count()) >> 1 for d in guard._nbr))
     budget.spend(unchecked)
     return nodes, not budget.exceeded
 
@@ -295,7 +322,11 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     node or time limit the flag may come back False, and max_edges is only
     a lower bound.  nodes_explored counts guard push attempts, which the
     node limit also counts; children pruned by a bound before their push
-    are not counted (n=8 takes 2,538, n=10 about 4.3M).
+    are not counted (n=8 takes 2,538, n=10 about 4.3M, about 19 s on one
+    core of a 2-core x86-64 VM).  With several workers, a clean run with a
+    best above 1 takes its witness from one more serial run that stops at
+    the first system of that size, so the witness is the serial one; that
+    run's pushes are counted too.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -303,14 +334,25 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
 
+    deadline = _deadline(opts)
     # the first edge {0,1,2} alone is the starting best of 1
     if opts.worker_count == 1:
-        budget = _Budget(opts.node_limit, _deadline(opts))
+        budget = _Budget(opts.node_limit, deadline)
         found, edges, nodes, clean = _max_kernel(n, (0,), 1, stop_at, budget)
     else:
         shared_best = mp.Value("q", 1, lock=True)
         clean, nodes, results = _run_pool(n, [0], opts, _max_task, stop_at, shared_best)
         found, edges = max(results, key=lambda r: r[0], default=(0, None))
+        if clean and found > 1:
+            # Which equal-size result the pool keeps depends on completion
+            # order.  The serial witness is the first found-edge system in
+            # DFS preorder, which a run that stops at found edges returns.
+            left = None if opts.node_limit is None else opts.node_limit - nodes
+            again, again_edges, more, _ = _max_kernel(n, (0,), found - 1, found,
+                                                      _Budget(left, deadline))
+            nodes += more
+            if again == found:
+                edges = again_edges
     best = max(1, found)
     witness = LinearTripleSystem(n, tuple(edges or [_tables(n)[0][0]]))
     proven_by_bound = best >= ubn

@@ -280,6 +280,7 @@ def test_cli_search_limit_exit_code(capsys):
     # a negative budget is a usage error, not an unproven maximum
     assert run_cli("search", "--n", "8", "--node-limit", "-5") == 2
     assert run_cli("search", "--n", "8", "--time-limit", "-1") == 2
+    assert run_cli("search", "--n", "8", "--time-limit", "nan") == 2
     # so is a target below one edge
     assert run_cli("search", "--n", "8", "--target", "0") == 2
     # and an n outside 3..64, before any search runs

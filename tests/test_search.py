@@ -8,6 +8,7 @@ from sailfree.search import (
     _CHECK_EVERY,
     SearchOptions,
     _Budget,
+    _depth2_prefixes,
     _dfs,
     _tables,
     enumerate_extremal,
@@ -58,17 +59,39 @@ def test_monotone_in_n():
 
 
 def test_max_independent_of_worker_count():
-    for n in (6, 7, 8):
+    for n in (6, 7, 8, 9):
         seq = max_sail_free(n, SearchOptions(worker_count=1))
         par = max_sail_free(n, SearchOptions(worker_count=2))
         assert seq.max_edges == par.max_edges
         assert par.exhausted
+        # the same witness, whichever pool task finished first
+        assert par.witness == seq.witness, n
 
 
 def test_target_stops_early_without_proof():
     report = max_sail_free(8, SearchOptions(target_edges=5))
     assert report.max_edges >= 5
     if report.max_edges < upper_bound(8):
+        assert not report.exhausted
+
+
+@pytest.mark.parametrize("bad", [
+    dict(time_limit=float("nan")),
+    dict(time_limit=-1.0),
+    dict(node_limit=-1),
+    dict(worker_count=0),
+    dict(target_edges=0),
+])
+def test_search_options_reject_invalid_values(bad):
+    with pytest.raises(ValueError):
+        SearchOptions(**bad)
+
+
+def test_node_limited_runs_at_large_n_are_pinned():
+    # candidate masks span 9,880 triples at n=40 and 41,664 at n=64
+    for n, limit, best, nodes in ((40, 20000, 38, 20479), (64, 3000, 33, 4095)):
+        report = max_sail_free(n, SearchOptions(node_limit=limit))
+        assert (report.max_edges, report.nodes_explored) == (best, nodes), n
         assert not report.exhausted
 
 
@@ -195,29 +218,35 @@ def _push_first_dfs(n, prefix, bound, stop_at, budget, leaf):
     return nodes, not budget.exceeded
 
 
-def _leaf_sequence(dfs, n, roots, bound, stop_at, enumerate_m=None):
-    """The stacks handed to the leaf policy, in order, over the given roots."""
+def _leaf_sequence(dfs, n, prefixes, bound, stop_at, enumerate_m=None):
+    """The stacks handed to the leaf policy, in order, over the given prefixes."""
     seen = []
 
     def leaf(stack):
         seen.append(tuple(stack))
         return enumerate_m - 1 if enumerate_m is not None else len(stack)
 
-    for r in roots:
-        _, clean = dfs(n, (r,), bound, stop_at, _Budget(None, None), leaf)
+    for prefix in prefixes:
+        _, clean = dfs(n, prefix, bound, stop_at, _Budget(None, None), leaf)
         assert clean
     return seen
 
 
 def test_kernel_reaches_the_push_first_leaves():
     for n in range(4, 9):
-        args = (n, [0], 1, upper_bound(n))
+        args = (n, [(0,)], 1, upper_bound(n))
         want = _leaf_sequence(_push_first_dfs, *args)
         assert _leaf_sequence(_dfs, *args) == want, n
         assert max(map(len, want), default=1) == max_sail_free(n).max_edges
-    for n, m, roots in ((7, 4, [0]), (8, 5, [0]), (8, 6, [0]), (9, 9, [0]),
-                        (7, 4, range(len(_tables(7)[0])))):
-        args = (n, roots, m - 1, m + 1, m)
+    for n, m, prefixes in ((7, 4, [(0,)]), (8, 5, [(0,)]), (8, 6, [(0,)]), (9, 9, [(0,)]),
+                           (7, 4, [(r,) for r in range(len(_tables(7)[0]))])):
+        args = (n, prefixes, m - 1, m + 1, m)
         want = _leaf_sequence(_push_first_dfs, *args)
         assert want, (n, m)
         assert _leaf_sequence(_dfs, *args) == want, (n, m)
+    # pool tasks: the kernel entered below a two-edge prefix
+    tasks = _depth2_prefixes(9, [0])[0][::16]
+    for args in ((9, tasks, 1, upper_bound(9)), (9, tasks, 8, 10, 9)):
+        want = _leaf_sequence(_push_first_dfs, *args)
+        assert want, args
+        assert _leaf_sequence(_dfs, *args) == want, args
