@@ -94,10 +94,6 @@ def cmd_construct(args) -> int:
     if args.latin:
         latin = tuple(tuple(int(x) for x in row.split(",")) for row in args.latin.split(";"))
     special = tuple(int(x) for x in args.special_edges.split(",")) if args.special_edges else None
-    if special is not None and len(special) != 2:
-        print(f"--special-edges needs two cycle positions, e.g. 0,3; got {args.special_edges!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
     perms = tuple(args.triangle_perms.split(",")) if args.triangle_perms else None
     spec = ConstructionSpec(
         variant=args.type,

@@ -217,6 +217,11 @@ class ConstructionSpec:
                 raise ValueError(f"parameter {name} does not apply to variant {self.variant}")
         if self.variant in ("c3", "c4") and self.k != 3:
             raise ValueError(f"variant {self.variant} is defined only for k=3")
+        for name, error, what in (("special_edge_offsets", BadSpecialEdges, "cycle positions"),
+                                  ("triangle_perms", BadColorAssignment, "triangle permutations")):
+            value = getattr(self, name)
+            if value is not None and len(value) != 2:
+                raise error(f"{name} needs two {what}, got {value!r}")
 
 
 # --- general family -------------------------------------------------------

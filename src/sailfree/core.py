@@ -3,8 +3,8 @@
 Vertices are 0-based contiguous integers.  Edges are stored as sorted
 triples and the edge list is kept in lexicographic order, so two equal
 systems always have identical in-memory representations.  Neighborhoods
-and pair coverage are kept as integer bit-sets, which caps the supported
-vertex count at 64.
+are kept, and pair coverage is checked, as integer bit-sets, which caps
+the supported vertex count at 64.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class LinearTripleSystem:
     n: int
     edges: tuple[Triple, ...]
     _nbr: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _pairs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 3 <= self.n <= MAX_VERTICES:
@@ -103,15 +102,10 @@ class LinearTripleSystem:
             nbr[e.b] |= m & ~(1 << e.b)
             nbr[e.c] |= m & ~(1 << e.c)
         object.__setattr__(self, "_nbr", tuple(nbr))
-        object.__setattr__(self, "_pairs", covered)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> list[int]:
         d = [0] * self.n
@@ -120,15 +114,6 @@ class LinearTripleSystem:
             d[e.b] += 1
             d[e.c] += 1
         return d
-
-    def neighborhood_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._nbr[v]
-
-    def covers_pair(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return bool(self._pairs >> (u * self.n + v) & 1)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -11,6 +11,7 @@ this criterion and reconstructs the fans afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .core import MAX_VERTICES, LinearTripleSystem, Triple, pair_mask
@@ -69,6 +70,19 @@ def find_sail_fast(system: LinearTripleSystem) -> Optional[SailWitness]:
     return None
 
 
+def _crossbar_hits(system: LinearTripleSystem):
+    """(v, g, hits) for every vertex v of degree >= 3 and every edge g
+    avoiding v, hits being the edges through v that meet g, in edge order."""
+    for v in range(system.n):
+        at_v = [e for e in system.edges if v in e]
+        if len(at_v) < 3:
+            continue
+        for g in system.edges:
+            if v not in g:
+                gm = g.mask
+                yield v, g, [f for f in at_v if f.mask & gm]
+
+
 def find_sail_bruteforce(system: LinearTripleSystem) -> Optional[SailWitness]:
     """Scan apexes and edge combinations straight from the definition.
 
@@ -76,34 +90,15 @@ def find_sail_bruteforce(system: LinearTripleSystem) -> Optional[SailWitness]:
     v that each meet g form a sail (linearity makes the fans intersect
     pairwise exactly in v).  Intended for small n and as an oracle.
     """
-    for v in range(system.n):
-        at_v = [e for e in system.edges if v in e]
-        if len(at_v) < 3:
-            continue
-        for g in system.edges:
-            if v in g:
-                continue
-            gm = g.mask
-            hits = [f for f in at_v if f.mask & gm]
-            if len(hits) >= 3:
-                return SailWitness(v, tuple(hits[:3]), g)
+    for v, g, hits in _crossbar_hits(system):
+        if len(hits) >= 3:
+            return SailWitness(v, tuple(hits[:3]), g)
     return None
 
 
 def count_sails(system: LinearTripleSystem) -> int:
     """Number of sail sub-configurations (apex, {f1,f2,f3}, crossbar)."""
-    total = 0
-    for v in range(system.n):
-        at_v = [e for e in system.edges if v in e]
-        if len(at_v) < 3:
-            continue
-        for g in system.edges:
-            if v in g:
-                continue
-            gm = g.mask
-            h = sum(1 for f in at_v if f.mask & gm)
-            total += h * (h - 1) * (h - 2) // 6
-    return total
+    return sum(comb(len(hits), 3) for _, _, hits in _crossbar_hits(system))
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,14 @@ enumeration deduplicates through canonical forms, so the fix only drops
 relabeled duplicates.  Pass wlog_first_edge=False to enumerate without
 it.
 
-Parallel mode splits the top two levels of the tree into prefix tasks
-consumed by a process pool; workers share only a node count and, for the
-maximum, a monotone best value.
+A run ends once its bound reaches stop_at (the upper bound, or
+target_edges), where every open branch is prunable.  This is tested on
+entry, at a leaf, and when the pool's shared best raises the bound; the
+node loop gains no test.
+
+Parallel mode runs one task per (root, t), t a candidate of the root, in
+a process pool; the guard accepts every such pair, as a sail needs four
+edges.  Workers share a node count and, for the maximum, a monotone best.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ class SearchReport:
 
     nodes_explored counts the guard push attempts: the children that
     passed both bounds and were handed to the guard, accepted or not
-    (in parallel runs, also the probes that split the tree into tasks).
+    (in parallel runs, also one per root and per pool task).
     Children the bounds rule out before the push are not counted.
     """
 
@@ -168,6 +173,16 @@ def _pair_masks(n: int):
                  for a, b, c in triples)
 
 
+def _candidates(n, prefix):
+    """Bit mask of the triples after the prefix that share no pair with it."""
+    through = _pair_masks(n)
+    cands = (1 << len(through)) - (1 << (prefix[-1] + 1 if prefix else 0))
+    for t in prefix:
+        ab, ac, bc = through[t]
+        cands &= ~(ab | ac | bc)
+    return cands
+
+
 class _Budget:
     """Node and wall-clock budget, optionally shared across workers."""
 
@@ -206,10 +221,11 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
     Every node with more edges than the bound goes to leaf(stack), which
     returns the new bound; the node is extended only if it no longer
     exceeds that bound.  A child is pruned, before its push, when it
-    cannot exceed the bound.  Reaching stop_at edges ends the run: it is
-    the proof threshold, at which every other branch is prunable.
+    cannot exceed the bound.  A bound of stop_at ends the run: it is the
+    proof threshold, at which every other branch is prunable.
     shared_best, a value shared by pool workers, raises the bound whenever
-    another worker has done better.
+    another worker has done better.  The budget is checked on entry and
+    every _CHECK_EVERY pushes.
 
     Returns (nodes, clean): guard push attempts, and False when the
     budget cut the run short.
@@ -217,25 +233,23 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
     triples, vmasks, pmasks = _tables(n)
     through = _pair_masks(n)
     guard = SailGuard(n)
-    base = (1 << len(triples)) - (1 << (prefix[-1] + 1 if prefix else 0))
     for t in prefix:
         if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
             raise ValueError("invalid search prefix")
-        ab, ac, bc = through[t]
-        base &= ~(ab | ac | bc)
     stack = guard._stack
     nodes = 0
     unchecked = 0
-    done = False
+    done = bound >= stop_at or budget.spend(0)
 
     def rec(cands, cap):
         nonlocal bound, nodes, unchecked, done
         size = len(stack)
         if shared_best is not None and shared_best.value > bound:
             bound = shared_best.value
+            done = bound >= stop_at
         if size > bound:
             bound = leaf(stack)
-            done = size >= stop_at
+            done = bound >= stop_at
             if done or size > bound:
                 return
         if size + cap // 3 <= bound:
@@ -251,18 +265,19 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
             if size + 1 + rest.bit_count() <= bound:
                 continue
             unchecked += 1
-            if unchecked >= _CHECK_EVERY:
-                if budget.spend(unchecked):
+            if unchecked == _CHECK_EVERY:
+                unchecked = 0
+                if budget.spend(_CHECK_EVERY):
                     done = True
                     return
-                unchecked = 0
             nodes += 1
             if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
                 continue
             rec(rest, cap - 3)
             guard._pop_fast()
 
-    rec(base, sum((n - 1 - d.bit_count()) >> 1 for d in guard._nbr))
+    if not done:
+        rec(_candidates(n, prefix), sum((n - 1 - d.bit_count()) >> 1 for d in guard._nbr))
     budget.spend(unchecked)
     return nodes, not budget.exceeded
 
@@ -419,26 +434,15 @@ def _enum_task(args):
 
 def _depth2_prefixes(n, roots):
     """(root, t) prefixes covering the whole tree below the roots, except
-    the roots themselves.
-
-    Also returns the number of push attempts spent probing, so parallel
-    runs count nodes the same way sequential ones do.
+    the roots themselves, and the push attempts a guard walk over them would
+    count (one per root and task), so parallel runs count nodes the same way
+    sequential ones do.
     """
-    triples, vmasks, pmasks = _tables(n)
     tasks = []
-    probes = 0
     for r in roots:
-        guard = SailGuard(n)
-        probes += 1
-        guard._push_fast(triples[r], vmasks[r], pmasks[r])
-        for t in range(r + 1, len(triples)):
-            if pmasks[t] & guard._pairs:
-                continue
-            probes += 1
-            if guard._push_fast(triples[t], vmasks[t], pmasks[t]) == 0:
-                guard._pop_fast()
-                tasks.append((r, t))
-    return tasks, probes
+        cands = _candidates(n, (r,))
+        tasks += [(r, t) for t in range(r + 1, cands.bit_length()) if cands >> t & 1]
+    return tasks, len(roots) + len(tasks)
 
 
 def _run_pool(n, roots, opts, task, arg, shared_best=None):

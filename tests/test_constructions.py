@@ -143,6 +143,9 @@ def test_c1_bad_special_edges():
         build(ConstructionSpec("c1", 3, special_edge_offsets=(0, 2)))  # chord hits cycle
     with pytest.raises(BadSpecialEdges):
         build(ConstructionSpec("c1", 3, special_edge_offsets=(0, 99)))
+    for offsets in ((0,), (0, 3, 5)):
+        with pytest.raises(BadSpecialEdges, match="needs two cycle positions"):
+            ConstructionSpec("c1", 3, special_edge_offsets=offsets)
 
 
 def test_c1_edge_count_identity_by_parts():
@@ -248,6 +251,9 @@ def test_c3_any_triangle_colorings_valid():
 def test_c3_bad_assignment():
     with pytest.raises(BadColorAssignment):
         build(ConstructionSpec("c3", 3, triangle_perms=("aab", "abc")))
+    for perms in (("abc",), ("abc", "abc", "abc")):
+        with pytest.raises(BadColorAssignment, match="needs two triangle permutations"):
+            ConstructionSpec("c3", 3, triangle_perms=perms)
 
 
 def test_c4_variant1_edge_list():

@@ -364,6 +364,8 @@ def test_cli_usage_error_exit_code(capsys):
         assert run_cli("construct", "--type", "c1", "--k", "3",
                        "--special-edges", offsets) == 2, offsets
         assert "needs two cycle positions" in capsys.readouterr().err
+    assert run_cli("construct", "--type", "c3", "--k", "3", "--triangle-perms", "abc") == 2
+    assert "needs two triangle permutations" in capsys.readouterr().err
 
 
 def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):

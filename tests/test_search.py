@@ -10,6 +10,7 @@ from sailfree.search import (
     _Budget,
     _depth2_prefixes,
     _dfs,
+    _max_kernel,
     _tables,
     enumerate_extremal,
     max_sail_free,
@@ -73,6 +74,38 @@ def test_target_stops_early_without_proof():
     assert report.max_edges >= 5
     if report.max_edges < upper_bound(8):
         assert not report.exhausted
+    # the first edge alone meets a target of 1: the run ends on entry
+    report = max_sail_free(8, SearchOptions(target_edges=1))
+    assert (report.max_edges, report.nodes_explored, report.exhausted) == (1, 0, False)
+
+
+def test_parallel_maximum_stops_at_the_proof():
+    # n=9 meets its upper bound; every task ends once the shared best does
+    assert max_sail_free(9, SearchOptions(worker_count=2)).nodes_explored < 2000
+    seq = max_sail_free(10, SearchOptions(target_edges=9))
+    par = max_sail_free(10, SearchOptions(target_edges=9, worker_count=2))
+    assert (par.max_edges, par.exhausted) == (seq.max_edges, seq.exhausted) == (9, False)
+    assert par.witness == seq.witness
+
+
+def test_parallel_node_limit_holds():
+    # each worker overshoots by less than one batch; a task that starts
+    # after the budget is gone pushes nothing
+    workers, limit = 2, 1000
+    report = max_sail_free(11, SearchOptions(node_limit=limit, worker_count=workers))
+    probes = _depth2_prefixes(11, [0])[1]
+    assert report.nodes_explored <= limit + _CHECK_EVERY * workers + probes
+    assert not report.exhausted
+
+
+def test_budget_spends_each_batch_once():
+    budget = _Budget(3000, None)
+    *_, nodes, clean = _max_kernel(10, (0,), 1, upper_bound(10), budget)
+    # two batches: 4,095 pushes and the attempt that found the budget gone
+    assert (nodes, budget.local, clean) == (2 * _CHECK_EVERY - 1, 2 * _CHECK_EVERY, False)
+    spent = _Budget(0, None)
+    assert _max_kernel(8, (0,), 1, upper_bound(8), spent)[2:] == (0, False)
+    assert spent.local == 0
 
 
 @pytest.mark.parametrize("bad", [
@@ -140,8 +173,9 @@ def test_enumerate_truncated_design_is_extremal_class_at_8():
 
 
 def test_enumerate_respects_limits():
-    with pytest.raises(LimitExceeded):
-        enumerate_extremal(9, 8, SearchOptions(node_limit=10))
+    for workers in (1, 2):
+        with pytest.raises(LimitExceeded):
+            enumerate_extremal(9, 8, SearchOptions(node_limit=10, worker_count=workers))
 
 
 def test_enumerate_parallel_agrees():
@@ -250,3 +284,30 @@ def test_kernel_reaches_the_push_first_leaves():
         want = _leaf_sequence(_push_first_dfs, *args)
         assert want, args
         assert _leaf_sequence(_dfs, *args) == want, args
+
+
+def _guard_probe_prefixes(n, roots):
+    """The pool's split as a guard walk: push each root, then push every
+    later pair-compatible triple and keep those the guard accepts."""
+    triples, vmasks, pmasks = _tables(n)
+    tasks = []
+    probes = 0
+    for r in roots:
+        guard = SailGuard(n)
+        probes += 1
+        guard._push_fast(triples[r], vmasks[r], pmasks[r])
+        for t in range(r + 1, len(triples)):
+            if pmasks[t] & guard._pairs:
+                continue
+            probes += 1
+            if guard._push_fast(triples[t], vmasks[t], pmasks[t]) == 0:
+                guard._pop_fast()
+                tasks.append((r, t))
+    return tasks, probes
+
+
+def test_split_matches_a_guard_probe_walk():
+    for n in range(7, 13):
+        for roots in ([0], list(range(5))):
+            want = _guard_probe_prefixes(n, roots)
+            assert _depth2_prefixes(n, roots) == want, (n, roots)
