@@ -88,7 +88,12 @@ class LinearTripleSystem:
         prev = None
         for e in edges:
             if not (0 <= e.a < e.b < e.c < n):
-                raise VertexOutOfRange(f"edge {tuple(e)} not inside [0, {n})")
+                ordered = Triple.of(e)  # DegenerateEdge on a repeated vertex
+                if ordered.a < 0 or ordered.c >= n:
+                    raise VertexOutOfRange(f"edge {tuple(e)} not inside [0, {n})")
+                # only out of order: sort every edge, as make_system does, and start over
+                object.__setattr__(self, "edges", tuple(Triple.of(h) for h in self.edges))
+                return self.__post_init__()
             if e == prev:
                 raise DuplicateEdge(f"edge {tuple(e)} listed twice")
             prev = e

@@ -8,11 +8,13 @@ The DFS holds a bound and hands every node larger than it to a leaf
 policy, which returns the new bound: the maximum search records the
 system and raises the bound to its size, so the search goes on above it;
 enumeration of m-edge systems emits the system and holds the bound at
-m-1, so no system grows past m edges.  Two admissible bounds prune a
+m-1, so no system grows past m edges.  Every run has a degree cap Delta:
+no vertex may lie in more than Delta edges.  Two admissible bounds prune a
 child when it cannot exceed the bound: the number of remaining
 pair-compatible candidate triples, and the per-vertex capacity
-sum(floor((n-1-|N(v)|)/2))//3 (a vertex of a linear system gains at most
-one edge per two unseen vertices).
+sum(min(Delta - deg v, floor((n-1-|N(v)|)/2)))//3 (a vertex of a linear
+system gains at most one edge per two unseen vertices, and at most
+Delta - deg v edges under the cap).
 
 Both bounds are evaluated before the guard is touched, so a child that
 cannot exceed the bound costs no push.  The bound never falls during a
@@ -21,54 +23,77 @@ only rises), so a test that fails for one child fails for every later
 child of the same node.  The three steps:
 
 1. Capacity carried down.  An accepted edge {a,b,c} is linear with the
-   stack, so each of its vertices gains exactly two unseen neighbours,
-   and each of their floor((n-1-|N(v)|)/2) falls by exactly 1.  Every
-   child therefore has capacity cap-3: the capacity is computed once,
-   after the prefix, and each child is handed cap-3.  A child with s+1
-   edges passes the capacity test iff s + cap//3 exceeds the bound.  That
-   test does not depend on the child, so the node evaluates it once on
-   entry and returns when it fails.  After the leaf check s <= bound, so
-   cap < 3 (where no push can succeed) always returns.
+   stack, so each of its vertices gains one edge and exactly two unseen
+   neighbours, and both terms of its min fall by exactly 1.  Every child
+   therefore has capacity cap-3: the capacity is computed once, after the
+   prefix, and each child is handed cap-3.  A child with s+1 edges passes
+   the capacity test iff s + cap//3 exceeds the bound.  That test does
+   not depend on the child, so the node evaluates it once on entry and
+   returns when it fails.  After the leaf check s <= bound, so cap < 3
+   (where no push can succeed) always returns.
 2. Count cut on the loop.  A child's candidates are a subset of the
    candidates after it, so once s plus the number of candidates not yet
    tried (the current one included) is at most the bound, no later child
    can pass the count test, and the node returns.
 3. Filter before pushing.  Every candidate set is pair-compatible with
-   the stack, so the child's candidates after pushing triple t are the
-   later candidates whose pairs avoid t's pairs, which can be computed
-   before the push.  The guard is asked only for a child that passes the
-   count test; its answer then decides whether the child is expanded.
+   the stack and avoids the vertices at the cap, so the child's
+   candidates after pushing triple t are the later candidates whose pairs
+   avoid t's pairs and that miss every vertex t brings to the cap, which
+   can be computed before the push.  The guard is asked only for a child
+   that passes the count test; its answer then decides whether the child
+   is expanded.
 
 A node's candidates are one int bit mask over triple indices.  For each
 triple t = {a,b,c}, _pair_masks holds the masks of the triples through
-{a,b}, {a,c} and {b,c}, so the child's candidates after t are the later
-bits less those three masks, and the count tests are bit counts.  The
-loop takes set bits from low to high, which is lexicographic order.
+{a,b}, {a,c} and {b,c}, and _vertex_masks those through each vertex, so
+the child's candidates after t are the later bits less three pair masks
+and the masks of the vertices t fills, and the count tests are bit
+counts.  The loop takes set bits from low to high, which is
+lexicographic order.
 
 Every expanded node and every leaf is the same, in the same order, as
-when both bounds ran on the grown stack after each push; only pushes of
-children that would never be expanded are dropped.  (When a leaf raises
-the bound in the middle of a node's loop, a later child that now fails
-the capacity test may still be pushed; its own entry test returns at
-once, before any leaf or push.)
+when both bounds and the cap ran on the grown stack after each push; only
+pushes of children that would never be expanded are dropped.  (When a
+leaf raises the bound in the middle of a node's loop, a later child that
+now fails the capacity test may still be pushed; its own entry test
+returns at once, before any leaf or push.)  At Delta = (n-1)//2 the cap
+never binds: a vertex of degree (n-1)//2 has at most one unseen vertex
+left, so no pair-compatible triple runs through it, and both terms of the
+min are equal.  The search at that cap below the first edge {0,1,2} is
+the unbroken one, which the tests and wlog_first_edge=False use.
 
-For the maximum, the first edge is fixed to {0,1,2}: any nonempty system
-can be relabeled so that an edge lands there, and {0,1,2} is the smallest
-triple, so the restriction loses no value.  The same relabeling argument
-keeps enumeration complete per isomorphism class when the fix is enabled
-there (every class has a labeled member whose smallest edge is {0,1,2});
-enumeration deduplicates through canonical forms, so the fix only drops
-relabeled duplicates.  Pass wlog_first_edge=False to enumerate without
-it.
+Star symmetry break.  By default both searches run once per maximum
+degree Delta, from (n-1)//2 down to 1, each below the prefix
+{0,1,2}, {0,3,4}, ..., {0,2Delta-1,2Delta} (the star of vertex 0) at cap
+Delta.  Soundness: relabel a system of maximum degree Delta so that a
+vertex of that degree becomes 0 and its edges the star.  The star's
+triples are the smallest triples through 0, and 0 lies in no other edge,
+so the relabeled sorted edge list starts with the star; every vertex has
+degree at most Delta, so the run at Delta reaches it.  The maximum
+therefore loses no value, and enumeration keeps at least one labeled
+member of every isomorphism class (it deduplicates through canonical
+forms, so the break only drops relabeled duplicates).  Two more bounds
+cap each run: the degrees sum to 3m <= n*Delta, so m <= n*Delta//3; and
+an edge off the star with all three vertices in N(0) would meet three
+star edges outside 0 (two of its vertices in one star edge would repeat
+that edge's pair), a crossbar, so every edge off the star meets one of the
+n-1-2Delta vertices outside N[0], each of degree at most Delta, and
+m <= Delta + Delta*(n-1-2Delta).  The run's stop_at is the smallest of
+these and the global one.
 
-A run ends once its bound reaches stop_at (the upper bound, or
-target_edges), where every open branch is prunable.  This is tested on
-entry, at a leaf, and when the pool's shared best raises the bound; the
-node loop gains no test.
+A run ends once its bound reaches stop_at (the most edges a system below
+its prefix can have, or target_edges), where every open branch is
+prunable.  This is tested on entry, at a leaf, and when the pool's shared
+best raises the bound; the node loop gains no test.  Enumeration holds
+the bound at m-1, so a run whose stop_at is below m ends on entry.  Each
+run pops its prefix when it ends, so the guard operations of consecutive
+runs form one push/pop stream.
 
-Parallel mode runs one task per (root, t), t a candidate of the root, in
-a process pool; the guard accepts every such pair, as a sail needs four
-edges.  Workers share a node count and, for the maximum, a monotone best.
+Parallel mode runs one task per (root, t), t a candidate of a run's root,
+for every run in one process pool.  From Delta = 3 a star and one more
+edge can hold a sail (the edge is a crossbar of three star edges); the
+guard rejects such a task's prefix and the task returns empty.  Workers
+share a node count and, for the maximum, a monotone best.
 """
 
 from __future__ import annotations
@@ -76,7 +101,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
@@ -173,14 +198,51 @@ def _pair_masks(n: int):
                  for a, b, c in triples)
 
 
-def _candidates(n, prefix):
-    """Bit mask of the triples after the prefix that share no pair with it."""
+@lru_cache(maxsize=None)
+def _vertex_masks(n: int):
+    """For each vertex, the bit mask of the triple indices through it."""
+    at = [0] * n
+    for i, t in enumerate(_tables(n)[0]):
+        for v in t:
+            at[v] |= 1 << i
+    return tuple(at)
+
+
+def _degrees(n, prefix):
+    deg = [0] * n
+    for t in prefix:
+        for v in _tables(n)[0][t]:
+            deg[v] += 1
+    return deg
+
+
+def _candidates(n, prefix, delta):
+    """Bit mask of the triples after the prefix that share no pair with it
+    and miss every vertex the prefix brings to degree delta."""
     through = _pair_masks(n)
     cands = (1 << len(through)) - (1 << (prefix[-1] + 1 if prefix else 0))
     for t in prefix:
         ab, ac, bc = through[t]
         cands &= ~(ab | ac | bc)
+    for v, d in enumerate(_degrees(n, prefix)):
+        if d >= delta:
+            cands &= ~_vertex_masks(n)[v]
     return cands
+
+
+@lru_cache(maxsize=None)
+def _star(n):
+    """Triple indices of {0,1,2}, {0,3,4}, ... up to degree (n-1)//2; vertex
+    0's star at degree delta is the first delta of them."""
+    triples = _tables(n)[0]
+    return tuple(triples.index((0, 2 * j + 1, 2 * j + 2)) for j in range((n - 1) // 2))
+
+
+def _star_runs(n, stop_at):
+    """(prefix, delta, stop_at) of the symmetry break's run at each maximum
+    degree delta, largest first; see the module docstring for the stops."""
+    return [(_star(n)[:d], d, min(stop_at, n * d // 3, d + d * (n - 1 - 2 * d)))
+            for d in range((n - 1) // 2, 0, -1)]
 
 
 class _Budget:
@@ -215,8 +277,8 @@ class _Budget:
 _CHECK_EVERY = 2048
 
 
-def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
-    """Branch and bound below the given triple-index prefix.
+def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=None):
+    """Branch and bound below the given triple-index prefix, at degree cap delta.
 
     Every node with more edges than the bound goes to leaf(stack), which
     returns the new bound; the node is extended only if it no longer
@@ -225,21 +287,27 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
     proof threshold, at which every other branch is prunable.
     shared_best, a value shared by pool workers, raises the bound whenever
     another worker has done better.  The budget is checked on entry and
-    every _CHECK_EVERY pushes.
+    every _CHECK_EVERY pushes.  A prefix the guard rejects ends the run on
+    entry.
 
-    Returns (nodes, clean): guard push attempts, and False when the
-    budget cut the run short.
+    Returns (nodes, clean): guard push attempts below the prefix, and False
+    when the budget cut the run short.
     """
     triples, vmasks, pmasks = _tables(n)
     through = _pair_masks(n)
+    at = _vertex_masks(n)
     guard = SailGuard(n)
+    pushed = 0
     for t in prefix:
         if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
-            raise ValueError("invalid search prefix")
+            break
+        pushed += 1
     stack = guard._stack
+    deg = _degrees(n, prefix)
+    last = delta - 1  # a vertex at this degree is full after one more edge
     nodes = 0
     unchecked = 0
-    done = bound >= stop_at or budget.spend(0)
+    done = pushed < len(prefix) or bound >= stop_at or budget.spend(0)
 
     def rec(cands, cap):
         nonlocal bound, nodes, unchecked, done
@@ -262,6 +330,13 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
             ti = low.bit_length() - 1
             ab, ac, bc = through[ti]
             rest = cands & ~(ab | ac | bc)
+            a, b, c = t = triples[ti]
+            if deg[a] == last:
+                rest &= ~at[a]
+            if deg[b] == last:
+                rest &= ~at[b]
+            if deg[c] == last:
+                rest &= ~at[c]
             if size + 1 + rest.bit_count() <= bound:
                 continue
             unchecked += 1
@@ -271,18 +346,27 @@ def _dfs(n, prefix, bound, stop_at, budget, leaf: Callable, shared_best=None):
                     done = True
                     return
             nodes += 1
-            if guard._push_fast(triples[ti], vmasks[ti], pmasks[ti]):
+            if guard._push_fast(t, vmasks[ti], pmasks[ti]):
                 continue
+            deg[a] += 1
+            deg[b] += 1
+            deg[c] += 1
             rec(rest, cap - 3)
+            deg[a] -= 1
+            deg[b] -= 1
+            deg[c] -= 1
             guard._pop_fast()
 
     if not done:
-        rec(_candidates(n, prefix), sum((n - 1 - d.bit_count()) >> 1 for d in guard._nbr))
+        rec(_candidates(n, prefix, delta),
+            sum(min(delta - d, (n - 1 - 2 * d) >> 1) for d in deg))
+    for _ in range(pushed):
+        guard._pop_fast()
     budget.spend(unchecked)
     return nodes, not budget.exceeded
 
 
-def _max_kernel(n, prefix, bound, stop_at, budget, shared_best=None):
+def _max_kernel(n, prefix, delta, bound, stop_at, budget, shared_best=None):
     """The DFS with the maximum's leaf policy: keep the largest system.
 
     Returns (found_best, found_edges, nodes, clean); found_best is 0 and
@@ -300,21 +384,37 @@ def _max_kernel(n, prefix, bound, stop_at, budget, shared_best=None):
                     shared_best.value = size
         return size
 
-    nodes, clean = _dfs(n, prefix, bound, stop_at, budget, leaf, shared_best)
+    nodes, clean = _dfs(n, prefix, delta, bound, stop_at, budget, leaf, shared_best)
     return found, found_edges, nodes, clean
 
 
-def _enum_kernel(n, prefix, m, budget, emit: Callable):
+def _enum_kernel(n, prefix, delta, m, stop_at, budget, emit: Callable):
     """The DFS with enumeration's leaf policy: emit every m-edge system.
 
     The bound stays at m-1, so every m-edge system reaches the leaf and
-    none is extended; stop_at is m+1, which is never reached.
+    none is extended.  stop_at is the most edges a system below the prefix
+    can have: below m the run ends on entry, and otherwise it is never
+    reached.
     """
     def leaf(stack):
         emit(tuple(stack))
         return m - 1
 
-    return _dfs(n, prefix, m - 1, m + 1, budget, leaf)
+    return _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
+
+
+def _max_runs(n, runs, bound, budget):
+    """_max_kernel over (prefix, delta, stop_at) runs in order, each run
+    starting from the best so far.  Returns what _max_kernel returns."""
+    found, found_edges, nodes, clean = 0, None, 0, True
+    for prefix, delta, stop_at in runs:
+        got, got_edges, more, ok = _max_kernel(n, prefix, delta, max(bound, found),
+                                               stop_at, budget)
+        nodes += more
+        clean = clean and ok
+        if got:
+            found, found_edges = got, got_edges
+    return found, found_edges, nodes, clean
 
 
 def _form_adder(n, forms: set):
@@ -337,39 +437,46 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     node or time limit the flag may come back False, and max_edges is only
     a lower bound.  nodes_explored counts guard push attempts, which the
     node limit also counts; children pruned by a bound before their push
-    are not counted (n=8 takes 2,538, n=10 about 4.3M, about 19 s on one
-    core of a 2-core x86-64 VM).  With several workers, a clean run with a
-    best above 1 takes its witness from one more serial run that stops at
-    the first system of that size, so the witness is the serial one; that
-    run's pushes are counted too.
+    are not counted (n=8 takes 12, n=10 56, n=13 about 151,000 and n=16
+    about 29M, about 171 s on one core of a 2-core x86-64 VM).  With
+    several workers, a clean run that beats the largest star takes its
+    witness from one more serial pass that stops at the first system of
+    that size, so the witness is the serial one; that pass's pushes are
+    counted too.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     start = time.monotonic()
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
+    runs = _star_runs(n, stop_at)
+    # the star of the largest degree alone is the starting best
+    best = min((n - 1) // 2, stop_at)
+    edges = [_tables(n)[0][t] for t in _star(n)[:best]]
 
     deadline = _deadline(opts)
-    # the first edge {0,1,2} alone is the starting best of 1
     if opts.worker_count == 1:
         budget = _Budget(opts.node_limit, deadline)
-        found, edges, nodes, clean = _max_kernel(n, (0,), 1, stop_at, budget)
+        found, found_edges, nodes, clean = _max_runs(n, runs, best, budget)
     else:
-        shared_best = mp.Value("q", 1, lock=True)
-        clean, nodes, results = _run_pool(n, [0], opts, _max_task, stop_at, shared_best)
-        found, edges = max(results, key=lambda r: r[0], default=(0, None))
-        if clean and found > 1:
+        shared_best = mp.Value("q", best, lock=True)
+        clean, nodes, results = _run_pool(n, [r for r in runs if r[2] > best], opts,
+                                          _max_task, shared_best)
+        found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
+        if clean and found > best:
             # Which equal-size result the pool keeps depends on completion
             # order.  The serial witness is the first found-edge system in
-            # DFS preorder, which a run that stops at found edges returns.
+            # DFS preorder, which a pass that stops at found edges returns.
             left = None if opts.node_limit is None else opts.node_limit - nodes
-            again, again_edges, more, _ = _max_kernel(n, (0,), found - 1, found,
-                                                      _Budget(left, deadline))
+            again, again_edges, more, _ = _max_runs(
+                n, [(p, d, min(s, found)) for p, d, s in runs], found - 1,
+                _Budget(left, deadline))
             nodes += more
             if again == found:
-                edges = again_edges
-    best = max(1, found)
-    witness = LinearTripleSystem(n, tuple(edges or [_tables(n)[0][0]]))
+                found_edges = again_edges
+    if found > best:
+        best, edges = found, found_edges
+    witness = LinearTripleSystem(n, tuple(edges))
     proven_by_bound = best >= ubn
     stopped_at_target = (
         opts.target_edges is not None and best >= opts.target_edges and not proven_by_bound
@@ -382,6 +489,9 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
                        wlog_first_edge: bool = True) -> set[CanonicalForm]:
     """All sail-free linear systems with exactly m edges, up to isomorphism.
 
+    With wlog_first_edge (the default) the search runs under the star
+    symmetry break; without it, below every single edge at a degree cap
+    that never binds.
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """
@@ -389,17 +499,25 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    roots = [0] if wlog_first_edge else list(range(len(_tables(n)[0])))
-    forms: set[CanonicalForm] = set()
-
-    # one-edge systems are the roots themselves, which no depth-2 pool task covers
-    if opts.worker_count == 1 or m == 1:
-        budget = _Budget(opts.node_limit, _deadline(opts))
-        emit = _form_adder(n, forms)
-        clean = all(_enum_kernel(n, (r,), m, budget, emit)[1] for r in roots)
+    triples = _tables(n)[0]
+    if wlog_first_edge:
+        runs = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
     else:
-        clean, _, results = _run_pool(n, roots, opts, _enum_task, m)
-        forms = forms.union(*results)
+        runs = [((t,), (n - 1) // 2, upper_bound(n)) for t in range(len(triples))]
+    forms: set[CanonicalForm] = set()
+    emit = _form_adder(n, forms)
+
+    if opts.worker_count == 1:
+        budget = _Budget(opts.node_limit, _deadline(opts))
+        clean = all(_enum_kernel(n, p, d, m, s, budget, emit)[1] for p, d, s in runs)
+    else:
+        # roots that are m-edge systems themselves, which no depth-2 task covers
+        for prefix, _, _ in runs:
+            if len(prefix) == m:
+                emit(tuple(triples[t] for t in prefix))
+        clean, _, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]], opts,
+                                      partial(_enum_task, m))
+        forms.update(*results)
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
     return forms
@@ -416,46 +534,49 @@ def _pool_init(shared_best, shared_nodes):
 
 
 def _max_task(args):
-    n, prefix, stop_at, node_limit, deadline = args
+    n, prefix, delta, stop_at, node_limit, deadline = args
     shared_best = _WORKER_STATE["best"]
     budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
-    found, edges, _, clean = _max_kernel(n, prefix, shared_best.value, stop_at, budget,
-                                         shared_best)
+    found, edges, _, clean = _max_kernel(n, prefix, delta, shared_best.value, stop_at,
+                                         budget, shared_best)
     return clean, (found, edges)
 
 
-def _enum_task(args):
-    n, prefix, m, node_limit, deadline = args
+def _enum_task(m, args):
+    n, prefix, delta, stop_at, node_limit, deadline = args
     budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
     forms: set[CanonicalForm] = set()
-    _, clean = _enum_kernel(n, prefix, m, budget, _form_adder(n, forms))
+    _, clean = _enum_kernel(n, prefix, delta, m, stop_at, budget, _form_adder(n, forms))
     return clean, forms
 
 
-def _depth2_prefixes(n, roots):
-    """(root, t) prefixes covering the whole tree below the roots, except
-    the roots themselves, and the push attempts a guard walk over them would
-    count (one per root and task), so parallel runs count nodes the same way
-    sequential ones do.
+def _depth2_prefixes(n, runs):
+    """(prefix + (t,), delta, stop_at) tasks covering the whole tree below
+    the runs' prefixes, except the prefixes themselves, and the push
+    attempts a guard walk over them would count (one per run and task), so
+    parallel runs count nodes the same way sequential ones do.
     """
     tasks = []
-    for r in roots:
-        cands = _candidates(n, (r,))
-        tasks += [(r, t) for t in range(r + 1, cands.bit_length()) if cands >> t & 1]
-    return tasks, len(roots) + len(tasks)
+    for prefix, delta, stop_at in runs:
+        cands = _candidates(n, prefix, delta)
+        tasks += [(prefix + (t,), delta, stop_at)
+                  for t in range(prefix[-1] + 1, cands.bit_length()) if cands >> t & 1]
+    return tasks, len(runs) + len(tasks)
 
 
-def _run_pool(n, roots, opts, task, arg, shared_best=None):
-    """Run task over the depth-2 prefixes below the roots in a process pool.
+def _run_pool(n, runs, opts, task, shared_best=None):
+    """Run task over the depth-2 prefixes below the runs in a process pool.
 
-    Each task gets (n, prefix, arg, node_limit, deadline) and returns
-    (clean, result).  Returns (clean, nodes, results), results in
+    Each task gets (n, prefix, delta, stop_at, node_limit, deadline) and
+    returns (clean, result).  Returns (clean, nodes, results), results in
     completion order.
     """
-    tasks, probes = _depth2_prefixes(n, roots)
+    tasks, probes = _depth2_prefixes(n, runs)
+    if not tasks:
+        return True, probes, []
     shared_nodes = mp.Value("q", probes, lock=True)
     deadline = _deadline(opts)
-    args = [(n, p, arg, opts.node_limit, deadline) for p in tasks]
+    args = [(n, *task_run, opts.node_limit, deadline) for task_run in tasks]
     with mp.Pool(opts.worker_count, initializer=_pool_init,
                  initargs=(shared_best, shared_nodes)) as pool:
         outcomes = list(pool.imap_unordered(task, args))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sailfree.core import (
+    LinearTripleSystem,
     Triple,
     deficiency,
     make_system,
@@ -13,6 +14,7 @@ from sailfree.core import (
 )
 from sailfree.constructions import ConstructionSpec, build
 from sailfree.errors import (
+    DegenerateEdge,
     DuplicateEdge,
     LinearityViolation,
     UnsupportedSize,
@@ -46,6 +48,20 @@ def test_make_system_four_edges_all_intersections_checked():
 def test_make_system_normalizes_order():
     s = make_system(5, [(4, 2, 0), (3, 1, 0)])
     assert s.edges == (Triple(0, 1, 3), Triple(0, 2, 4))
+
+
+def test_constructor_diagnoses_edges_as_make_system_does():
+    # an edge out of order is accepted and sorted, as make_system does
+    direct = LinearTripleSystem(5, ((4, 2, 0), (3, 1, 0)))
+    assert direct == make_system(5, [(4, 2, 0), (3, 1, 0)])
+    assert direct.edges == (Triple(0, 1, 3), Triple(0, 2, 4))
+    assert LinearTripleSystem(3, ((2, 1, 0),)).edges == (Triple(0, 1, 2),)
+    for bad in ((0, 0, 1), (1, 0, 1), (2, 2, 2)):
+        with pytest.raises(DegenerateEdge):
+            LinearTripleSystem(3, (bad,))
+    for bad in ((3, 1, 0), (0, 1, -1), (0, 1, 7)):
+        with pytest.raises(VertexOutOfRange):
+            LinearTripleSystem(3, (bad,))
 
 
 def test_make_system_errors():

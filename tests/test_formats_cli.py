@@ -196,6 +196,15 @@ def test_table_rows():
         table(3, 5)
 
 
+def test_table_matches_the_paper_to_15():
+    # every value proven; n=13 = 17 is the paper's k^2+1 case at k=4
+    rows = table(4, 15)
+    assert [r.n for r in rows] == list(range(4, 16))
+    assert all(r.exhausted for r in rows)
+    assert {r.n for r in rows if r.verdict != "match"} == {4, 7}
+    assert [r.max_edges for r in rows] == [1, 2, 4, 4, 6, 9, 10, 12, 16, 17, 20, 25]
+
+
 # --- cli -------------------------------------------------------------------
 
 
