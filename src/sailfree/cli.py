@@ -2,7 +2,9 @@
 
 Every subcommand is a thin wrapper over library operations.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 search limit
-exceeded.  SAILFREE_THREADS sets the default worker count.
+exceeded.  A file whose content fails to parse or validate is a
+verification failure in every subcommand; any other package error is a
+usage error.  SAILFREE_THREADS sets the default worker count.
 """
 
 from __future__ import annotations
@@ -14,24 +16,10 @@ import sys
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
-from .core import MAX_VERTICES
-from .errors import (
-    DegenerateEdge,
-    DuplicateEdge,
-    LimitExceeded,
-    LinearityViolation,
-    ParseError,
-    RoleShapeMismatch,
-    TripleSystemError,
-    UnsupportedSize,
-    VertexOutOfRange,
-)
+from .errors import LimitExceeded, RoleShapeMismatch, TripleSystemError
 from .formats import parse_system, serialize_system, system_to_json
 from .search import SearchOptions, enumerate_extremal, max_sail_free
 from .verify import ROLES, table, verify_report
-
-_DATA_ERRORS = (ParseError, LinearityViolation, DuplicateEdge, DegenerateEdge,
-                VertexOutOfRange, UnsupportedSize)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,6 +44,17 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+class _BadFile(Exception):
+    """A file whose content fails to parse or validate; main exits 1."""
+
+
+def _load(path: str):
+    try:
+        return parse_system(_read(path))
+    except TripleSystemError as exc:
+        raise _BadFile(exc) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,11 +104,7 @@ def cmd_construct(args) -> int:
         latin=latin,
         seed=args.seed,
     )
-    try:
-        system, details = build_resolved(spec)
-    except UnsupportedSize as exc:
-        # --k, not a file, is at fault: a usage error as for search --n
-        raise ValueError(str(exc)) from None
+    system, details = build_resolved(spec)
     if args.json:
         _emit(system_to_json(system, params=details), args.out)
     else:
@@ -128,8 +123,8 @@ def _check_failed(args, exc, is_linear: bool) -> int:
 
 def cmd_check(args) -> int:
     try:
-        system = parse_system(_read(args.file))
-    except TripleSystemError as exc:
+        system = _load(args.file)
+    except _BadFile as exc:
         return _check_failed(args, exc, is_linear=False)
     try:
         report = verify_report(system, role=args.role, k=args.k)
@@ -171,8 +166,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if not 3 <= args.n <= MAX_VERTICES:
-        raise ValueError(f"--n {args.n} outside supported range 3..{MAX_VERTICES}")
     opts = _search_opts(args)
     if args.enumerate:
         target = args.target
@@ -219,7 +212,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    system = parse_system(_read(args.file))
+    system = _load(args.file)
     form = canonical_form(system)
     if args.json:
         print(json.dumps({
@@ -234,8 +227,8 @@ def cmd_canon(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    h1 = parse_system(_read(args.file1))
-    h2 = parse_system(_read(args.file2))
+    h1 = _load(args.file1)
+    h2 = _load(args.file2)
     same = is_isomorphic(h1, h2)
     print("isomorphic" if same else "not isomorphic")
     return EXIT_OK if same else EXIT_FAIL
@@ -330,8 +323,7 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except _DATA_ERRORS as exc:
-        # a file whose content fails validation is a verification failure
+    except _BadFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (TripleSystemError, ValueError, OSError) as exc:

@@ -60,10 +60,11 @@ returns at once, before any leaf or push.)  At Delta = (n-1)//2 the cap
 never binds: a vertex of degree (n-1)//2 has at most one unseen vertex
 left, so no pair-compatible triple runs through it, and both terms of the
 min are equal.  The search at that cap below the first edge {0,1,2} is
-the unbroken one, which the tests and wlog_first_edge=False use.
+the unbroken one; only the tests run it, as the oracle the star break is
+checked against.
 
-Star symmetry break.  By default both searches run once per maximum
-degree Delta, from (n-1)//2 down to 1, each below the prefix
+Star symmetry break.  Both searches run once per maximum degree
+Delta, from (n-1)//2 down to 1, each below the prefix
 {0,1,2}, {0,3,4}, ..., {0,2Delta-1,2Delta} (the star of vertex 0) at cap
 Delta.  Soundness: relabel a system of maximum degree Delta so that a
 vertex of that degree becomes 0 and its edges the star.  The star's
@@ -485,13 +486,12 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     return SearchReport(n, best, witness, nodes, time.monotonic() - start, exhausted)
 
 
-def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
-                       wlog_first_edge: bool = True) -> set[CanonicalForm]:
+def enumerate_extremal(n: int, m: int,
+                       opts: SearchOptions = SearchOptions()) -> set[CanonicalForm]:
     """All sail-free linear systems with exactly m edges, up to isomorphism.
 
-    With wlog_first_edge (the default) the search runs under the star
-    symmetry break; without it, below every single edge at a degree cap
-    that never binds.
+    The search runs under the star symmetry break (module docstring),
+    which keeps at least one labeled member of every class.
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """
@@ -499,11 +499,7 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    triples = _tables(n)[0]
-    if wlog_first_edge:
-        runs = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
-    else:
-        runs = [((t,), (n - 1) // 2, upper_bound(n)) for t in range(len(triples))]
+    runs = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
     forms: set[CanonicalForm] = set()
     emit = _form_adder(n, forms)
 
@@ -514,7 +510,7 @@ def enumerate_extremal(n: int, m: int, opts: SearchOptions = SearchOptions(),
         # roots that are m-edge systems themselves, which no depth-2 task covers
         for prefix, _, _ in runs:
             if len(prefix) == m:
-                emit(tuple(triples[t] for t in prefix))
+                emit(tuple(_tables(n)[0][t] for t in prefix))
         clean, _, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]], opts,
                                       partial(_enum_task, m))
         forms.update(*results)

@@ -21,12 +21,13 @@ from .errors import RoleShapeMismatch
 from .sails import SailWitness, find_sail_fast
 from .search import SearchOptions, SearchReport, max_sail_free
 
-# role -> (n - 3k, edge count as a function of k, the role's own condition
-# on (max degree, sorted degrees, k, total deficiency))
+# role -> (n - 3k, edge count as a function of k, its label, the role's own
+# condition on (max degree, sorted degrees, k, total deficiency))
 _SHAPES = {
-    "extremal-3k+1": (1, lambda k: k * k + 1, lambda top, degs, k, d: top == k and d == k - 3),
-    "td": (0, lambda k: k * k, lambda top, degs, k, d: degs == [k] * len(degs)),
-    "truncated": (2, lambda k: k * k + k, lambda top, degs, k, d: True),
+    "extremal-3k+1": (1, lambda k: k * k + 1, "k^2+1",
+                      lambda top, degs, k, d: top == k and d == k - 3),
+    "td": (0, lambda k: k * k, "k^2", lambda top, degs, k, d: degs == [k] * len(degs)),
+    "truncated": (2, lambda k: k * k + k, "k^2+k", lambda top, degs, k, d: True),
 }
 ROLES = tuple(_SHAPES)
 
@@ -74,13 +75,15 @@ def verify_report(
     shape = None if role is None else _shape(role)
     if k is None:
         k = infer_k(system.n, role)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     witness = find_sail_fast(system)
     degs = sorted(system.degrees())
     max_deg = degs[-1] if degs else 0
     def_total = deficiency(system, range(system.n), k)
     role_pass = None
     if shape is not None:
-        residue, edge_count, condition = shape
+        residue, edge_count, _, condition = shape
         role_pass = (
             system.n == 3 * k + residue
             and system.m == edge_count(k)
@@ -104,19 +107,15 @@ def verify_report(
 def formula_value(n: int) -> tuple[Optional[int], str]:
     """The closed-form maximum for n, with a label; None when out of range.
 
-    n = 3k gives k^2, n = 3k+2 gives k^2+k, and n = 3k+1 gives k^2+1 for
-    k >= 3 (the constructions need k >= 3; smaller k degenerates).
+    The role of residue n - 3k gives the value: n = 3k gives k^2, n = 3k+2
+    gives k^2+k, and n = 3k+1 gives k^2+1 for k >= 3 (the constructions
+    need k >= 3; smaller k degenerates).
     """
-    if n % 3 == 0:
-        k = n // 3
-        return k * k, f"k^2 (k={k})"
-    if n % 3 == 2:
-        k = (n - 2) // 3
-        return k * k + k, f"k^2+k (k={k})"
-    k = (n - 1) // 3
-    if k >= 3:
-        return k * k + 1, f"k^2+1 (k={k})"
-    return None, "formula out of range (k<3)"
+    k, residue = divmod(n, 3)
+    _, edge_count, label, _ = next(s for s in _SHAPES.values() if s[0] == residue)
+    if residue == 1 and k < 3:
+        return None, "formula out of range (k<3)"
+    return edge_count(k), f"{label} (k={k})"
 
 
 @dataclass(frozen=True)

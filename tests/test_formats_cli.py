@@ -145,6 +145,15 @@ def test_formula_values():
     assert formula_value(8) == (6, "k^2+k (k=2)")
     assert formula_value(7)[0] is None
     assert "k<3" in formula_value(4)[1]
+    for n in range(65):
+        k, r = divmod(n, 3)
+        if r == 1 and k < 3:
+            want = (None, "formula out of range (k<3)")
+        else:
+            value, label = {0: (k * k, "k^2"), 1: (k * k + 1, "k^2+1"),
+                            2: (k * k + k, "k^2+k")}[r]
+            want = (value, f"{label} (k={k})")
+        assert formula_value(n) == want, n
 
 
 def test_infer_k():
@@ -363,7 +372,7 @@ def test_cli_construct_json_output(capsys):
     assert ps(json.dumps(payload)) == transversal_design(2)
 
 
-def test_cli_usage_error_exit_code(capsys):
+def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert run_cli("construct", "--type", "c2", "--k", "4") == 2  # 3 | k violated
     capsys.readouterr()
     # a k whose n exceeds 64 is at fault, not a verification failure
@@ -375,6 +384,12 @@ def test_cli_usage_error_exit_code(capsys):
         assert "needs two cycle positions" in capsys.readouterr().err
     assert run_cli("construct", "--type", "c3", "--k", "3", "--triangle-perms", "abc") == 2
     assert "needs two triangle permutations" in capsys.readouterr().err
+    # no system has k < 1, as n = 3k+r >= 3
+    f = tmp_path / "one.txt"
+    f.write_text("4 1\n0 1 2\n")
+    for k in ("-1", "0"):
+        assert run_cli("check", str(f), "--k", k) == 2, k
+        assert "k must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):
@@ -388,6 +403,12 @@ def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("4 1\n0 1 2\n")
     assert run_cli("iso", str(good), str(bad)) == 1
+    # a vertex count outside 3..64 and a repeated edge, in either iso slot
+    for text in ("65 1\n0 1 2\n", "4 2\n0 1 2\n0 1 2\n"):
+        bad.write_text(text)
+        assert run_cli("canon", str(bad)) == 1, text
+        assert run_cli("iso", str(good), str(bad)) == 1, text
+        assert run_cli("iso", str(bad), str(good)) == 1, text
     capsys.readouterr()
 
 

@@ -190,12 +190,8 @@ def test_enumerate_transversal_design_unique_at_6():
 
 
 def test_enumerate_agrees_without_symmetry_fix():
-    with_fix = enumerate_extremal(6, 4)
-    without = enumerate_extremal(6, 4, wlog_first_edge=False)
-    assert with_fix == without
-    with_fix = enumerate_extremal(7, 4)
-    without = enumerate_extremal(7, 4, wlog_first_edge=False)
-    assert with_fix == without
+    for n, m in ((6, 4), (7, 4)):
+        assert enumerate_extremal(n, m) == _unbroken_classes(n, m)
 
 
 def test_enumerate_truncated_design_is_extremal_class_at_8():
@@ -216,7 +212,7 @@ def test_enumerate_parallel_agrees():
     for n, m in ((7, 4), (7, 3), (7, 1)):
         seq = enumerate_extremal(n, m)
         assert enumerate_extremal(n, m, two) == seq
-        assert enumerate_extremal(n, m, two, wlog_first_edge=False) == seq
+        assert _unbroken_classes(n, m) == seq
 
 
 def test_report_fields_consistent():
