@@ -17,6 +17,18 @@ list is a true lower bound on every leaf below the node.  Children are
 tried in order of (bound, vertex), and the search returns the first leaf
 in that order whose list is minimal.
 
+Scoring.  A node at depth d scores all its children from one pass over
+the edges.  The pass gives base, the sorted list of every edge's entry at
+placeholder d+1 with no new label, and two entries per edge: old, its
+entry in base, and new, its entry once one of its unlabeled vertices
+takes label d.  new does not depend on which vertex that is, since d is
+above every label given so far: it is (p, q, d), (p, d, d+1) or
+(d, d+1, d+2).  A child v's bound is base with old replaced by new for
+the deg(v) edges through v (bisect out, insort in).  That is the list a
+full rescoring at placeholder d+1 gives: an edge off v keeps its labels
+and so its entry old, an edge through v gets new, and a sorted list is
+fixed by its multiset of entries.
+
 Search space.  Label 0 goes to a vertex on an edge, label 1 to a vertex
 sharing an edge with it and label 2 to the third vertex of that edge
 (unique, by linearity).  When the system has any edge the minimal list
@@ -55,12 +67,19 @@ than the best list.
   it.  By the orbit rule v_d's subtree holds nothing smaller than the
   best, so the search returns to depth d at once.
 
-Triples are packed into ints (a<<12 | b<<6 | c, valid for n <= 64) so
-list comparison and sorting stay cheap.
+Triples are packed into ints (a<<12 | b<<6 | c) so list comparison and
+sorting stay cheap.  A field holds 0..63, hence n <= 64, with one
+exception in base: an edge with k unlabeled vertices has old entry up to
+placeholder d+k, which reaches u = 64 on the 64-vertex systems with every
+vertex on an edge, and such an entry spills into the next field.  But
+d+k >= u means the edge holds all u-d unlabeled vertices, so every child
+patches it out (bisect_left finds the same int in base) before any list
+is compared, and new entries stop at d+k-1 <= 63.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,7 +100,11 @@ def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[in
         third[a, b] = third[b, a] = c
         third[a, c] = third[c, a] = b
         third[b, c] = third[c, b] = a
-    on_edge = sorted({v for e in everts for v in e})
+    incident: list[list[int]] = [[] for _ in range(n)]  # vertex -> its edges' indices
+    for i, e in enumerate(everts):
+        for v in e:
+            incident[v].append(i)
+    on_edge = [v for v in range(n) if incident[v]]
     isolated = sorted(set(range(n)).difference(on_edge))
     u = len(on_edge)
     label = [-1] * n
@@ -90,9 +113,13 @@ def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[in
     best_label: list[int] = []
     gens: list[list[int]] = []
 
-    def scored(depth: int) -> list[int]:
-        out = []
-        add = out.append
+    def bounds(depth: int) -> tuple[list[int], list[int], list[int]]:
+        """The sorted bound list at placeholder depth+1 with no new label,
+        and per edge its entry there (old) and its entry once one of its
+        unlabeled vertices takes label depth (new)."""
+        d1 = depth + 1
+        old = []
+        new = []
         for (a, b, c) in everts:
             la, lb, lc = label[a], label[b], label[c]
             if la > lb:
@@ -103,15 +130,19 @@ def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[in
                     la, lb = lb, la
             # now la <= lb <= lc; unassigned (-1) labels sorted to the front
             if la >= 0:
-                add((la << 12) | (lb << 6) | lc)
+                x = y = (la << 12) | (lb << 6) | lc
             elif lb >= 0:
-                add((lb << 12) | (lc << 6) | depth)
+                x = (lb << 12) | (lc << 6) | d1
+                y = (lb << 12) | (lc << 6) | depth
             elif lc >= 0:
-                add((lc << 12) | (depth << 6) | depth + 1)
+                x = (lc << 12) | (d1 << 6) | d1 + 1
+                y = (lc << 12) | (depth << 6) | d1
             else:
-                add((depth << 12) | ((depth + 1) << 6) | depth + 2)
-        out.sort()
-        return out
+                x = (d1 << 12) | ((d1 + 1) << 6) | d1 + 2
+                y = (depth << 12) | (d1 << 6) | d1 + 1
+            old.append(x)
+            new.append(y)
+        return sorted(old), old, new
 
     def leaf(cur: list[int]) -> int:
         """Record a complete labeling; returns the depth to resume at."""
@@ -150,11 +181,13 @@ def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[in
             cands = [third[path[0], path[1]]]
         else:
             cands = [v for v in on_edge if label[v] == -1]
+        base, old, new = bounds(depth)
         options = []
         for v in cands:
-            label[v] = depth
-            lb = scored(depth + 1)
-            label[v] = -1
+            lb = base[:]
+            for i in incident[v]:
+                del lb[bisect_left(lb, old[i])]
+                insort(lb, new[i])
             if best is None or lb <= best:
                 options.append((lb, v))
         options.sort()

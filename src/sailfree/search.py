@@ -440,10 +440,13 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     node limit also counts; children pruned by a bound before their push
     are not counted (n=8 takes 12, n=10 56, n=13 about 151,000 and n=16
     about 29M, about 171 s on one core of a 2-core x86-64 VM).  With
-    several workers, a clean run that beats the largest star takes its
-    witness from one more serial pass that stops at the first system of
-    that size, so the witness is the serial one; that pass's pushes are
-    counted too.
+    several workers and no time limit, a clean run that beats the largest
+    star takes its witness from one more serial pass that stops at the
+    first system of that size, so the witness is the serial one; that
+    pass's pushes are counted too.  Under a time limit the pass is not
+    run, since it can take far longer than the pool (n=16: ~150 s against
+    ~5 s) and the deadline would cut it: the witness is then the pool's,
+    and which system of that size it is depends on task completion order.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -464,14 +467,14 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
         clean, nodes, results = _run_pool(n, [r for r in runs if r[2] > best], opts,
                                           _max_task, shared_best)
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
-        if clean and found > best:
+        if clean and found > best and opts.time_limit is None:
             # Which equal-size result the pool keeps depends on completion
             # order.  The serial witness is the first found-edge system in
             # DFS preorder, which a pass that stops at found edges returns.
             left = None if opts.node_limit is None else opts.node_limit - nodes
             again, again_edges, more, _ = _max_runs(
                 n, [(p, d, min(s, found)) for p, d, s in runs], found - 1,
-                _Budget(left, deadline))
+                _Budget(left, None))
             nodes += more
             if again == found:
                 found_edges = again_edges

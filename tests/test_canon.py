@@ -1,7 +1,13 @@
 import itertools
 import random
 
-from sailfree.canon import CanonicalForm, canonical_form, is_isomorphic, isomorphism
+from sailfree.canon import (
+    CanonicalForm,
+    _min_labeling,
+    canonical_form,
+    is_isomorphic,
+    isomorphism,
+)
 from sailfree.constructions import (
     ConstructionSpec,
     build,
@@ -202,3 +208,154 @@ def test_canonical_form_equality_semantics():
     b = canonical_form(build(ConstructionSpec("c3", 3, triangle_perms=("abc", "abc"))))
     assert a == b and hash(a) == hash(b)
     assert isinstance(a, CanonicalForm)
+
+
+def _rescoring_min_labeling(n, edges):
+    """_min_labeling as it was before children were scored by patching one
+    bound list per node: every candidate is labeled in turn and the whole
+    edge list rescored and sorted.  It is the reference for the search:
+    the patched scoring must give the same options in the same order, so
+    the same tree, list and labeling.
+    """
+    if not edges:
+        return [], list(range(n))
+    everts = [tuple(e) for e in edges]
+    third = {}
+    for (a, b, c) in everts:
+        third[a, b] = third[b, a] = c
+        third[a, c] = third[c, a] = b
+        third[b, c] = third[c, b] = a
+    on_edge = sorted({v for e in everts for v in e})
+    isolated = sorted(set(range(n)).difference(on_edge))
+    u = len(on_edge)
+    label = [-1] * n
+    path = []
+    best = None
+    best_label = []
+    gens = []
+
+    def scored(depth):
+        out = []
+        for (a, b, c) in everts:
+            la, lb, lc = sorted((label[a], label[b], label[c]))
+            if la >= 0:
+                out.append((la << 12) | (lb << 6) | lc)
+            elif lb >= 0:
+                out.append((lb << 12) | (lc << 6) | depth)
+            elif lc >= 0:
+                out.append((lc << 12) | (depth << 6) | depth + 1)
+            else:
+                out.append((depth << 12) | ((depth + 1) << 6) | depth + 2)
+        out.sort()
+        return out
+
+    def leaf(cur):
+        nonlocal best, best_label
+        full = label[:]
+        for i, v in enumerate(isolated):
+            full[v] = u + i
+        if best is None or cur < best:
+            best, best_label = cur, full
+            return u
+        inv = [0] * n
+        for v, lab in enumerate(best_label):
+            inv[lab] = v
+        gens.append([inv[lab] for lab in full])
+        d = 0
+        while inv[d] == path[d]:
+            d += 1
+        return d
+
+    def find(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def dfs(depth):
+        if depth == 0:
+            cands = on_edge
+        elif depth == 1:
+            cands = [v for v in on_edge if (path[0], v) in third]
+        elif depth == 2:
+            cands = [third[path[0], path[1]]]
+        else:
+            cands = [v for v in on_edge if label[v] == -1]
+        options = []
+        for v in cands:
+            label[v] = depth
+            lb = scored(depth + 1)
+            label[v] = -1
+            if best is None or lb <= best:
+                options.append((lb, v))
+        options.sort()
+        explored = []
+        orbit = []
+        used = 0
+        for lb, v in options:
+            if best is not None and lb > best:
+                break
+            if explored and used < len(gens):
+                for g in gens[used:]:
+                    if all(g[p] == p for p in path):
+                        orbit = orbit or list(range(n))
+                        for x in range(n):
+                            rx, ry = find(orbit, x), find(orbit, g[x])
+                            if rx != ry:
+                                orbit[rx] = ry
+                used = len(gens)
+            if orbit and any(find(orbit, v) == find(orbit, w) for w in explored):
+                continue
+            label[v] = depth
+            path.append(v)
+            resume = leaf(lb) if depth + 1 == u else dfs(depth + 1)
+            path.pop()
+            label[v] = -1
+            if resume < depth:
+                return resume
+            explored.append(v)
+        return depth
+
+    dfs(0)
+    return best, best_label
+
+
+def test_patched_scoring_matches_full_rescoring():
+    rng = random.Random(1212)
+    systems = [random_linear_system(rng.randrange(4, 13), rng) for _ in range(80)]
+    pinned = [truncated_design(3), transversal_design(4), truncated_design(4),
+              build(ConstructionSpec("c1", 4))]
+    for s in pinned:
+        for _ in range(3):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            systems.append(relabeled(s, perm))
+    # the canon benchmark's inputs: c1..c4 at k=3, c1/td/truncated at k=4
+    for variant, k in (("c1", 3), ("c2", 3), ("c3", 3), ("c4", 3),
+                       ("c1", 4), ("td", 4), ("truncated", 4)):
+        systems.append(build(ConstructionSpec(variant, k, seed=rng.randrange(1 << 30))))
+    for s in systems:
+        assert _min_labeling(s.n, s.edges) == _rescoring_min_labeling(s.n, s.edges), s
+
+
+def test_every_vertex_on_an_edge_at_n64():
+    # u = 64 labels: the last nodes' base lists hold entries whose
+    # placeholder 64 spills out of its 6-bit field, and every child must
+    # patch them out (module docstring)
+    edges = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(31)] + [(62, 63, 0)]
+    s = make_system(64, edges)
+    f = canonical_form(s)
+    # computed by the full-rescoring search, whose lists never spill
+    assert f.to_bytes().hex() == (
+        "4000010200030401050603070805090a070b0c090d0e0b0f100d11120f1314111516"
+        "13171815191a171b1c191d1e1b1f201d21221f232421252623272825292a272b2c29"
+        "2d2e2b2f302d31322f333431353633373835393a373b3c393d3e3b3d3f")
+    assert_labeling_verified(s, f)
+    rng = random.Random(64)
+    for _ in range(5):
+        perm = list(range(64))
+        rng.shuffle(perm)
+        t = relabeled(s, perm)
+        g = canonical_form(t)
+        assert g == f
+        assert_labeling_verified(t, g)

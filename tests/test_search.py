@@ -1,5 +1,6 @@
 import pytest
 
+from sailfree import search
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
 from sailfree.errors import LimitExceeded, UnsupportedSize
@@ -118,6 +119,23 @@ def test_parallel_maximum_stops_at_the_proof():
     par = max_sail_free(10, SearchOptions(target_edges=9, worker_count=2))
     assert (par.max_edges, par.exhausted) == (seq.max_edges, seq.exhausted) == (9, False)
     assert par.witness == seq.witness
+
+
+def test_parallel_time_limit_keeps_the_pool_witness(monkeypatch):
+    # under a time limit the serial witness pass is skipped, so a run that
+    # the pool finishes early returns early with the pool's witness
+    def no_witness_pass(*args):
+        raise AssertionError("serial witness pass under a time limit")
+
+    monkeypatch.setattr(search, "_max_runs", no_witness_pass)
+    for n, want in ((11, 12), (13, 17)):
+        limit = 120.0
+        report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=limit))
+        assert (report.max_edges, report.exhausted) == (want, True), n
+        w = report.witness
+        assert w.n == n and w.m == want
+        assert find_sail_bruteforce(w) is None
+        assert report.elapsed < limit / 4, n
 
 
 def test_parallel_node_limit_holds():
