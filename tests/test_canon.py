@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import sailfree.canon as canon_module
 from sailfree.canon import (
     CanonicalForm,
     _min_labeling,
+    _search,
     canonical_form,
     is_isomorphic,
     isomorphism,
@@ -359,3 +361,101 @@ def test_every_vertex_on_an_edge_at_n64():
         g = canonical_form(t)
         assert g == f
         assert_labeling_verified(t, g)
+
+
+KLEIN4 = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+NONCYCLIC5 = ((0, 1, 2, 3, 4), (1, 0, 4, 2, 3), (2, 3, 0, 4, 1), (3, 4, 1, 0, 2),
+              (4, 2, 3, 1, 0))
+
+
+def _two_forms_isomorphism(h1, h2):
+    """isomorphism as it was before h2 was matched against h1's canonical
+    list: both canonical forms in full, compared.  It is the reference for
+    the targeted search, which must return the same bijection or None.
+    """
+    if h1.n != h2.n or h1.m != h2.m or sorted(h1.degrees()) != sorted(h2.degrees()):
+        return None
+    f1 = canonical_form(h1)
+    f2 = canonical_form(h2)
+    if f1 != f2:
+        return None
+    inv2 = [0] * h2.n
+    for v, lab in enumerate(f2.labeling):
+        inv2[lab] = v
+    return tuple(inv2[f1.labeling[v]] for v in range(h1.n))
+
+
+def _outcome(h1, h2):
+    """How the targeted search of h2 against h1's list ends."""
+    f1 = canonical_form(h1)
+    target = [(a << 12) | (b << 6) | c for a, b, c in f1.edges]
+    found, _, nodes = _search(h2.n, h2.edges, target, f1.nodes)
+    return "budget" if nodes > f1.nodes else "found" if found is not None else "none"
+
+
+def test_targeted_isomorphism_matches_two_forms():
+    rng = random.Random(1313)
+    pairs = []
+    # the canon benchmark's inputs, each against relabelings of itself
+    for variant, k in (("c1", 3), ("c2", 3), ("c3", 3), ("c4", 3),
+                       ("c1", 4), ("td", 4), ("truncated", 4)):
+        s = build(ConstructionSpec(variant, k, seed=rng.randrange(1 << 30)))
+        for _ in range(2):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            pairs.append((s, relabeled(s, perm)))
+    # random systems against a relabeling and against an unrelated system,
+    # one with the same degree sequence where the pool has one
+    sizes = [rng.randrange(4, 15) for _ in range(600)]
+    pool = [random_linear_system(n, rng, tries=n) for n in sizes]
+    outcomes = set()
+    for i, s in enumerate(pool[:300]):
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        pairs.append((s, relabeled(s, perm)))
+        key = (s.n, sorted(s.degrees()))
+        other = next((t for t in pool[i + 1:] if (t.n, sorted(t.degrees())) == key),
+                     pool[i + 300])
+        pairs.append((s, other))
+        if s.m and key == (other.n, sorted(other.degrees())):
+            outcomes.add(_outcome(s, other))
+    # isolated vertices: TD(4)s on 14 vertices, moved by relabelings of all
+    # 14; and two empty systems
+    cyclic, klein = (make_system(14, transversal_design(4, latin=latin).edges)
+                     for latin in (None, KLEIN4))
+    for t in (cyclic, cyclic, klein):
+        perm = list(range(14))
+        rng.shuffle(perm)
+        pairs.append((cyclic, relabeled(t, perm)))
+    pairs.append((make_system(9, [(0, 4, 8), (1, 4, 6)]), make_system(9, [(2, 3, 7), (3, 5, 6)])))
+    pairs.append((make_system(6, []), make_system(6, [])))
+    for a, b in pairs:
+        for h1, h2 in ((a, b), (b, a)):
+            assert isomorphism(h1, h2) == _two_forms_isomorphism(h1, h2), (h1, h2)
+    # the unrelated pairs end the targeted search in each of its three ways
+    assert outcomes == {"found", "none", "budget"}
+
+
+def test_nonisomorphic_pairs_with_equal_degrees(monkeypatch):
+    # the degree pre-check passes, so the targeted search must refute the
+    # match, or run out of its budget and fall back to h2's own form
+    pairs = [(transversal_design(4), transversal_design(4, latin=KLEIN4)),
+             (transversal_design(5), transversal_design(5, latin=NONCYCLIC5)),
+             (build(ConstructionSpec("c1", 3)), build(ConstructionSpec("c2", 3))),
+             (build(ConstructionSpec("c4", 3, mv_variant=1)),
+              build(ConstructionSpec("c4", 3, mv_variant=2)))]
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return canonical_form(system)
+
+    monkeypatch.setattr(canon_module, "canonical_form", counting)
+    fallbacks = 0
+    for a, b in pairs:
+        assert sorted(a.degrees()) == sorted(b.degrees())
+        for h1, h2 in ((a, b), (b, a)):
+            calls.clear()
+            assert not is_isomorphic(h1, h2)
+            fallbacks += calls == [h1, h2]
+    assert fallbacks > 0
