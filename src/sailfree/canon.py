@@ -117,12 +117,6 @@ def _unpack(x: int) -> Triple:
     return Triple(x >> 12, (x >> 6) & 63, x & 63)
 
 
-def _min_labeling(n: int, edges: tuple[Triple, ...]) -> tuple[list[int], list[int]]:
-    """Minimal packed edge list and one labeling (original -> new) achieving it."""
-    packed, labeling, _ = _search(n, edges)
-    return packed, labeling
-
-
 def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = None,
             budget: int = 0) -> tuple[Optional[list[int]], list[int], int]:
     """The labeling search; returns (list, labeling, nodes entered).

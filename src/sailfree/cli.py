@@ -69,8 +69,8 @@ def _search_opts(args) -> SearchOptions:
     return SearchOptions(
         target_edges=getattr(args, "target", None),
         worker_count=args.threads,
-        node_limit=getattr(args, "node_limit", None),
-        time_limit=getattr(args, "time_limit", None),
+        node_limit=args.node_limit,
+        time_limit=args.time_limit,
     )
 
 
@@ -261,6 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, search and classify sail-free linear triple systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--threads", type=int, default=_default_threads())
+    limits.add_argument("--node-limit", type=int)
+    limits.add_argument("--time-limit", type=float, help="seconds")
 
     p = sub.add_parser("construct", help="run one of the generators")
     p.add_argument("--type", required=True,
@@ -284,13 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("search", help="exact maximum or enumeration")
+    p = sub.add_parser("search", parents=[limits], help="exact maximum or enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", type=int)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--node-limit", type=int)
-    p.add_argument("--time-limit", type=float, help="seconds")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -304,12 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("table", help="computed maxima against the formulas")
+    p = sub.add_parser("table", parents=[limits], help="computed maxima against the formulas")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--node-limit", type=int)
-    p.add_argument("--time-limit", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
     return parser

@@ -80,20 +80,18 @@ class LinearTripleSystem:
     def __post_init__(self):
         if not 3 <= self.n <= MAX_VERTICES:
             raise UnsupportedSize(f"n={self.n} outside supported range 3..{MAX_VERTICES}")
-        edges = tuple(sorted(Triple(*e) for e in self.edges))
+        # Triple.of sorts any other edge, and raises DegenerateEdge unless
+        # it has three distinct vertices
+        edges = tuple(sorted(e if type(e) is Triple and e.a < e.b < e.c else Triple.of(e)
+                             for e in self.edges))
         object.__setattr__(self, "edges", edges)
         n = self.n
         nbr = [0] * n
         covered = 0
         prev = None
         for e in edges:
-            if not (0 <= e.a < e.b < e.c < n):
-                ordered = Triple.of(e)  # DegenerateEdge on a repeated vertex
-                if ordered.a < 0 or ordered.c >= n:
-                    raise VertexOutOfRange(f"edge {tuple(e)} not inside [0, {n})")
-                # only out of order: sort every edge, as make_system does, and start over
-                object.__setattr__(self, "edges", tuple(Triple.of(h) for h in self.edges))
-                return self.__post_init__()
+            if e.a < 0 or e.c >= n:
+                raise VertexOutOfRange(f"edge {tuple(e)} not inside [0, {n})")
             if e == prev:
                 raise DuplicateEdge(f"edge {tuple(e)} listed twice")
             prev = e
@@ -131,7 +129,7 @@ def make_system(n: int, triples: Iterable[Iterable[int]]) -> LinearTripleSystem:
     Raises DegenerateEdge, VertexOutOfRange, DuplicateEdge or
     LinearityViolation (the last one names an offending pair of edges).
     """
-    return LinearTripleSystem(n, tuple(Triple.of(t) for t in triples))
+    return LinearTripleSystem(n, tuple(triples))
 
 
 @dataclass(frozen=True)

@@ -90,11 +90,17 @@ the bound at m-1, so a run whose stop_at is below m ends on entry.  Each
 run pops its prefix when it ends, so the guard operations of consecutive
 runs form one push/pop stream.
 
+Every call has one budget, its node limit and the deadline fixed at call
+entry; its serial runs, pool tasks and witness pass all spend from it.
+
 Parallel mode runs one task per (root, t), t a candidate of a run's root,
 for every run in one process pool.  From Delta = 3 a star and one more
 edge can hold a sail (the edge is a crossbar of three star edges); the
-guard rejects such a task's prefix and the task returns empty.  Workers
-share a node count and, for the maximum, a monotone best.
+guard rejects such a task's prefix and the task returns empty.  The pool
+takes tasks lazily in run order, hands out none once the budget is gone,
+and skips a task once the shared best has reached its run's stop_at (the
+task would end on entry).  Workers spend through a shared node count and,
+for the maximum, share a monotone best.
 """
 
 from __future__ import annotations
@@ -134,8 +140,7 @@ class SearchReport:
     """The outcome of max_sail_free.
 
     nodes_explored counts the guard push attempts: the children that
-    passed both bounds and were handed to the guard, accepted or not
-    (in parallel runs, also one per root and per pool task).
+    passed both bounds and were handed to the guard, accepted or not.
     Children the bounds rule out before the push are not counted.
     """
 
@@ -247,14 +252,15 @@ def _star_runs(n, stop_at):
 
 
 class _Budget:
-    """Node and wall-clock budget, optionally shared across workers."""
+    """A search call's node and wall-clock budget; each pool worker holds a
+    copy, and the copies count nodes through a shared counter."""
 
     __slots__ = ("node_limit", "deadline", "counter", "local", "exceeded")
 
-    def __init__(self, node_limit, deadline, counter=None):
+    def __init__(self, node_limit, deadline):
         self.node_limit = node_limit
         self.deadline = deadline  # on the time.monotonic() clock
-        self.counter = counter  # multiprocessing value shared by workers
+        self.counter = None  # multiprocessing value shared by workers
         self.local = 0
         self.exceeded = False
 
@@ -425,10 +431,6 @@ def _form_adder(n, forms: set):
     return emit
 
 
-def _deadline(opts: SearchOptions) -> Optional[float]:
-    return time.monotonic() + opts.time_limit if opts.time_limit is not None else None
-
-
 def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport:
     """Exact maximum number of edges of a sail-free linear system on n vertices.
 
@@ -443,10 +445,11 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     several workers and no time limit, a clean run that beats the largest
     star takes its witness from one more serial pass that stops at the
     first system of that size, so the witness is the serial one; that
-    pass's pushes are counted too.  Under a time limit the pass is not
-    run, since it can take far longer than the pool (n=16: ~150 s against
-    ~5 s) and the deadline would cut it: the witness is then the pool's,
-    and which system of that size it is depends on task completion order.
+    pass spends from the call's budget, and its pushes are counted too.
+    Under a time limit the pass is not run, since it can take far longer
+    than the pool (n=16: ~150 s against ~3 s) and the deadline would cut
+    it: the witness is then the pool's, and which system of that size it
+    is depends on task completion order.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -458,34 +461,28 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     best = min((n - 1) // 2, stop_at)
     edges = [_tables(n)[0][t] for t in _star(n)[:best]]
 
-    deadline = _deadline(opts)
+    budget = _Budget(opts.node_limit,
+                     None if opts.time_limit is None else start + opts.time_limit)
     if opts.worker_count == 1:
-        budget = _Budget(opts.node_limit, deadline)
         found, found_edges, nodes, clean = _max_runs(n, runs, best, budget)
     else:
         shared_best = mp.Value("q", best, lock=True)
-        clean, nodes, results = _run_pool(n, [r for r in runs if r[2] > best], opts,
-                                          _max_task, shared_best)
+        clean, nodes, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
+                                          budget, _max_task, shared_best)
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
         if clean and found > best and opts.time_limit is None:
             # Which equal-size result the pool keeps depends on completion
             # order.  The serial witness is the first found-edge system in
             # DFS preorder, which a pass that stops at found edges returns.
-            left = None if opts.node_limit is None else opts.node_limit - nodes
             again, again_edges, more, _ = _max_runs(
-                n, [(p, d, min(s, found)) for p, d, s in runs], found - 1,
-                _Budget(left, None))
+                n, [(p, d, min(s, found)) for p, d, s in runs], found - 1, budget)
             nodes += more
             if again == found:
                 found_edges = again_edges
     if found > best:
         best, edges = found, found_edges
     witness = LinearTripleSystem(n, tuple(edges))
-    proven_by_bound = best >= ubn
-    stopped_at_target = (
-        opts.target_edges is not None and best >= opts.target_edges and not proven_by_bound
-    )
-    exhausted = proven_by_bound or (clean and not stopped_at_target)
+    exhausted = best >= ubn or (clean and best < stop_at)
     return SearchReport(n, best, witness, nodes, time.monotonic() - start, exhausted)
 
 
@@ -502,20 +499,21 @@ def enumerate_extremal(n: int, m: int,
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
     if m < 1:
         raise ValueError("m must be >= 1")
+    budget = _Budget(opts.node_limit,
+                     None if opts.time_limit is None else time.monotonic() + opts.time_limit)
     runs = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
     forms: set[CanonicalForm] = set()
     emit = _form_adder(n, forms)
 
     if opts.worker_count == 1:
-        budget = _Budget(opts.node_limit, _deadline(opts))
         clean = all(_enum_kernel(n, p, d, m, s, budget, emit)[1] for p, d, s in runs)
     else:
         # roots that are m-edge systems themselves, which no depth-2 task covers
         for prefix, _, _ in runs:
             if len(prefix) == m:
                 emit(tuple(_tables(n)[0][t] for t in prefix))
-        clean, _, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]], opts,
-                                      partial(_enum_task, m))
+        clean, _, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]],
+                                      opts.worker_count, budget, partial(_enum_task, m))
         forms.update(*results)
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
@@ -527,57 +525,57 @@ def enumerate_extremal(n: int, m: int,
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(shared_best, shared_nodes):
-    _WORKER_STATE["best"] = shared_best
-    _WORKER_STATE["nodes"] = shared_nodes
+def _pool_init(n, budget, shared_best):
+    _WORKER_STATE.update(n=n, budget=budget, best=shared_best)
 
 
-def _max_task(args):
-    n, prefix, delta, stop_at, node_limit, deadline = args
-    shared_best = _WORKER_STATE["best"]
-    budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
-    found, edges, _, clean = _max_kernel(n, prefix, delta, shared_best.value, stop_at,
-                                         budget, shared_best)
-    return clean, (found, edges)
+def _max_task(task):
+    prefix, delta, stop_at = task
+    n, budget, shared_best = _WORKER_STATE["n"], _WORKER_STATE["budget"], _WORKER_STATE["best"]
+    found, edges, nodes, clean = _max_kernel(n, prefix, delta, shared_best.value, stop_at,
+                                             budget, shared_best)
+    return nodes, clean, (found, edges)
 
 
-def _enum_task(m, args):
-    n, prefix, delta, stop_at, node_limit, deadline = args
-    budget = _Budget(node_limit, deadline, _WORKER_STATE["nodes"])
-    forms: set[CanonicalForm] = set()
-    _, clean = _enum_kernel(n, prefix, delta, m, stop_at, budget, _form_adder(n, forms))
-    return clean, forms
+def _enum_task(m, task):
+    prefix, delta, stop_at = task
+    n, forms = _WORKER_STATE["n"], set()
+    nodes, clean = _enum_kernel(n, prefix, delta, m, stop_at, _WORKER_STATE["budget"],
+                                _form_adder(n, forms))
+    return nodes, clean, forms
 
 
 def _depth2_prefixes(n, runs):
-    """(prefix + (t,), delta, stop_at) tasks covering the whole tree below
-    the runs' prefixes, except the prefixes themselves, and the push
-    attempts a guard walk over them would count (one per run and task), so
-    parallel runs count nodes the same way sequential ones do.
-    """
-    tasks = []
+    """The (prefix + (t,), delta, stop_at) tasks, in run order, covering the
+    whole tree below the runs' prefixes except the prefixes themselves."""
     for prefix, delta, stop_at in runs:
         cands = _candidates(n, prefix, delta)
-        tasks += [(prefix + (t,), delta, stop_at)
-                  for t in range(prefix[-1] + 1, cands.bit_length()) if cands >> t & 1]
-    return tasks, len(runs) + len(tasks)
+        for t in range(prefix[-1] + 1, cands.bit_length()):
+            if cands >> t & 1:
+                yield prefix + (t,), delta, stop_at
 
 
-def _run_pool(n, runs, opts, task, shared_best=None):
-    """Run task over the depth-2 prefixes below the runs in a process pool.
+def _run_pool(n, runs, workers, budget, task, shared_best=None):
+    """Run task over the depth-2 prefixes below the runs in a process pool
+    that spends from the call's budget through a shared node counter.
 
-    Each task gets (n, prefix, delta, stop_at, node_limit, deadline) and
-    returns (clean, result).  Returns (clean, nodes, results), results in
-    completion order.
+    Tasks are handed out lazily, under the rules in the module docstring;
+    each returns (nodes, clean, result).  Returns (clean, nodes, results),
+    results in completion order.  No pool starts when there is no run or
+    the budget is already gone.
     """
-    tasks, probes = _depth2_prefixes(n, runs)
-    if not tasks:
-        return True, probes, []
-    shared_nodes = mp.Value("q", probes, lock=True)
-    deadline = _deadline(opts)
-    args = [(n, *task_run, opts.node_limit, deadline) for task_run in tasks]
-    with mp.Pool(opts.worker_count, initializer=_pool_init,
-                 initargs=(shared_best, shared_nodes)) as pool:
-        outcomes = list(pool.imap_unordered(task, args))
-    clean = all(ok for ok, _ in outcomes)
-    return clean, shared_nodes.value, [result for _, result in outcomes]
+    if not runs or budget.spend(0):
+        return not budget.exceeded, 0, []
+    budget.counter = mp.Value("q", budget.local, lock=True)
+
+    def tasks():
+        for prefix, delta, stop_at in _depth2_prefixes(n, runs):
+            if budget.spend(0):
+                return
+            if shared_best is None or shared_best.value < stop_at:
+                yield prefix, delta, stop_at
+
+    with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget, shared_best)) as pool:
+        outcomes = list(pool.imap_unordered(task, tasks()))
+    clean = not budget.exceeded and all(ok for _, ok, _ in outcomes)
+    return clean, sum(nodes for nodes, _, _ in outcomes), [result for *_, result in outcomes]

@@ -56,9 +56,11 @@ def test_constructor_diagnoses_edges_as_make_system_does():
     assert direct == make_system(5, [(4, 2, 0), (3, 1, 0)])
     assert direct.edges == (Triple(0, 1, 3), Triple(0, 2, 4))
     assert LinearTripleSystem(3, ((2, 1, 0),)).edges == (Triple(0, 1, 2),)
-    for bad in ((0, 0, 1), (1, 0, 1), (2, 2, 2)):
+    for bad in ((0, 0, 1), (1, 0, 1), (2, 2, 2), (0, 1), (0, 1, 2, 3)):
         with pytest.raises(DegenerateEdge):
             LinearTripleSystem(3, (bad,))
+        with pytest.raises(DegenerateEdge):
+            make_system(3, (bad,))
     for bad in ((3, 1, 0), (0, 1, -1), (0, 1, 7)):
         with pytest.raises(VertexOutOfRange):
             LinearTripleSystem(3, (bad,))

@@ -1,3 +1,5 @@
+import multiprocessing as mp
+
 import pytest
 
 from sailfree import search
@@ -20,6 +22,13 @@ from sailfree.search import (
     max_sail_free,
     upper_bound,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    # a pool must end its workers before the search call returns
+    yield
+    assert mp.active_children() == []
 
 
 def test_upper_bound_values():
@@ -143,9 +152,18 @@ def test_parallel_node_limit_holds():
     # after the budget is gone pushes nothing.  n=13 takes ~151,000 pushes.
     workers, limit = 2, 1000
     report = max_sail_free(13, SearchOptions(node_limit=limit, worker_count=workers))
-    probes = _depth2_prefixes(13, _star_runs(13, upper_bound(13)))[1]
-    assert report.nodes_explored <= limit + _CHECK_EVERY * workers + probes
+    assert report.nodes_explored <= limit + _CHECK_EVERY * workers
     assert not report.exhausted
+
+
+def test_parallel_budget_gone_at_entry_hands_out_no_task():
+    # no pool task starts, and no push is counted that was not made; handing
+    # out n=40's tasks regardless takes seconds
+    report = max_sail_free(40, SearchOptions(time_limit=0, worker_count=2))
+    assert (report.exhausted, report.nodes_explored) == (False, 0)
+    assert report.elapsed < 5
+    report = max_sail_free(12, SearchOptions(worker_count=3, node_limit=0))
+    assert (report.exhausted, report.nodes_explored) == (False, 0)
 
 
 def test_budget_spends_each_batch_once():
@@ -340,7 +358,7 @@ def test_kernel_reaches_the_push_first_leaves():
     assert _leaf_sequence(_dfs, 7, runs, 3, 4) == _leaf_sequence(_push_first_dfs, 7, runs, 3, 4)
     # pool tasks: the kernel entered below a prefix and one more edge
     for runs, step, m in ((_unbroken_runs(9, [0]), 16, 9), (_star_runs(9, upper_bound(9)), 4, 7)):
-        tasks = _depth2_prefixes(9, runs)[0][::step]
+        tasks = list(_depth2_prefixes(9, runs))[::step]
         for args in ((1,), (m - 1, m)):
             want = _leaf_sequence(_push_first_dfs, 9, tasks, *args)
             assert want, args
@@ -351,36 +369,33 @@ def _guard_probe_prefixes(n, runs):
     """The pool's split as a guard walk: push each run's prefix, then push
     every later pair-compatible triple through no vertex at the cap.
 
-    Returns the tasks, the push attempts, and the tasks the guard rejected.
+    Returns the tasks and the tasks the guard rejected.
     """
     triples, vmasks, pmasks = _tables(n)
     tasks, rejected = [], []
-    probes = 0
     for prefix, delta, stop_at in runs:
         guard = SailGuard(n)
-        probes += 1
         for r in prefix:
             assert guard._push_fast(triples[r], vmasks[r], pmasks[r]) == 0
         at_cap = sum(1 << v for v in range(n) if guard._nbr[v].bit_count() >= 2 * delta)
         for t in range(prefix[-1] + 1, len(triples)):
             if pmasks[t] & guard._pairs or vmasks[t] & at_cap:
                 continue
-            probes += 1
             task = (prefix + (t,), delta, stop_at)
             tasks.append(task)
             if guard._push_fast(triples[t], vmasks[t], pmasks[t]) == 0:
                 guard._pop_fast()
             else:
                 rejected.append(task)
-    return tasks, probes, rejected
+    return tasks, rejected
 
 
 def test_split_matches_a_guard_probe_walk():
     for n in range(7, 13):
         for runs in (_unbroken_runs(n, [0]), _unbroken_runs(n, range(5)),
                      _star_runs(n, upper_bound(n))):
-            tasks, probes, rejected = _guard_probe_prefixes(n, runs)
-            assert _depth2_prefixes(n, runs) == (tasks, probes), (n, runs)
+            tasks, rejected = _guard_probe_prefixes(n, runs)
+            assert list(_depth2_prefixes(n, runs)) == tasks, (n, runs)
             # from a star of three edges on, a crossbar of the star is a task
             # the guard rejects, and it returns empty
             assert bool(rejected) == any(len(r[0]) >= 3 for r in runs), (n, runs)
