@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
@@ -175,11 +176,12 @@ def cmd_search(args) -> int:
                 print("maximum not proven under the given limits", file=sys.stderr)
                 return EXIT_LIMIT
             target = report.max_edges
-        try:
-            forms = enumerate_extremal(args.n, target, opts)
-        except LimitExceeded as exc:
-            print(f"limit exceeded: {exc}", file=sys.stderr)
-            return EXIT_LIMIT
+            # the enumeration gets what the maximum left of the limits
+            if opts.node_limit is not None:
+                opts = replace(opts, node_limit=max(0, opts.node_limit - report.nodes_explored))
+            if opts.time_limit is not None:
+                opts = replace(opts, time_limit=max(0.0, opts.time_limit - report.elapsed))
+        forms = enumerate_extremal(args.n, target, opts)
         if args.json:
             print(json.dumps({
                 "n": args.n,

@@ -44,12 +44,11 @@ child of the same node.  The three steps:
    is expanded.
 
 A node's candidates are one int bit mask over triple indices.  For each
-triple t = {a,b,c}, _pair_masks holds the masks of the triples through
-{a,b}, {a,c} and {b,c}, and _vertex_masks those through each vertex, so
-the child's candidates after t are the later bits less three pair masks
-and the masks of the vertices t fills, and the count tests are bit
-counts.  The loop takes set bits from low to high, which is
-lexicographic order.
+triple t = {a,b,c}, _index_masks holds the masks of the triples through
+{a,b}, {a,c} and {b,c}, and for each vertex those through it, so the
+child's candidates after t are the later bits less three pair masks and
+the masks of the vertices t fills, and the count tests are bit counts.
+The loop takes set bits from low to high, which is lexicographic order.
 
 Every expanded node and every leaf is the same, in the same order, as
 when both bounds and the cap ran on the grown stack after each push; only
@@ -92,6 +91,7 @@ runs form one push/pop stream.
 
 Every call has one budget, its node limit and the deadline fixed at call
 entry; its serial runs, pool tasks and witness pass all spend from it.
+It alone counts the call's pushes and records whether it cut the call.
 
 Parallel mode runs one task per (root, t), t a candidate of a run's root,
 for every run in one process pool.  From Delta = 3 a star and one more
@@ -109,6 +109,7 @@ import multiprocessing as mp
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import comb
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
@@ -139,9 +140,10 @@ class SearchOptions:
 class SearchReport:
     """The outcome of max_sail_free.
 
-    nodes_explored counts the guard push attempts: the children that
-    passed both bounds and were handed to the guard, accepted or not.
-    Children the bounds rule out before the push are not counted.
+    nodes_explored is the count the call's budget kept of its guard
+    pushes: the children that passed both bounds and were handed to the
+    guard, accepted or not, in serial runs, pool tasks and the witness
+    pass.  Children the bounds rule out before the push are not counted.
     """
 
     n: int
@@ -186,62 +188,57 @@ def _tables(n: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_masks(n: int):
-    """For each triple index, the triples through each of its three pairs.
+def _index_masks(n: int):
+    """Bit masks over triple indices: (through, at).
 
-    Entry i holds three bit masks over triple indices, for the pairs
-    {a,b}, {a,c} and {b,c} of triple i = {a,b,c}; triples sharing a pair
-    share the mask object.
+    through[i] holds three masks, of the triples through the pairs {a,b},
+    {a,c} and {b,c} of triple i = {a,b,c}; triples sharing a pair share the
+    mask object.  at[v] is the mask of the triples through vertex v.
     """
     triples = _tables(n)[0]
-    through = [0] * (n * n)
+    pairs = [0] * (n * n)
+    at = [0] * n
     for i, (a, b, c) in enumerate(triples):
         bit = 1 << i
-        through[a * n + b] |= bit
-        through[a * n + c] |= bit
-        through[b * n + c] |= bit
-    return tuple((through[a * n + b], through[a * n + c], through[b * n + c])
-                 for a, b, c in triples)
-
-
-@lru_cache(maxsize=None)
-def _vertex_masks(n: int):
-    """For each vertex, the bit mask of the triple indices through it."""
-    at = [0] * n
-    for i, t in enumerate(_tables(n)[0]):
-        for v in t:
-            at[v] |= 1 << i
-    return tuple(at)
-
-
-def _degrees(n, prefix):
-    deg = [0] * n
-    for t in prefix:
-        for v in _tables(n)[0][t]:
-            deg[v] += 1
-    return deg
+        for p in (a * n + b, a * n + c, b * n + c):
+            pairs[p] |= bit
+        for v in (a, b, c):
+            at[v] |= bit
+    through = tuple((pairs[a * n + b], pairs[a * n + c], pairs[b * n + c])
+                    for a, b, c in triples)
+    return through, tuple(at)
 
 
 def _candidates(n, prefix, delta):
-    """Bit mask of the triples after the prefix that share no pair with it
-    and miss every vertex the prefix brings to degree delta."""
-    through = _pair_masks(n)
+    """(cands, deg): the bit mask of the triples after the prefix that share
+    no pair with it and miss every vertex the prefix brings to degree
+    delta, and the prefix's vertex degrees."""
+    triples = _tables(n)[0]
+    through, at = _index_masks(n)
     cands = (1 << len(through)) - (1 << (prefix[-1] + 1 if prefix else 0))
+    deg = [0] * n
     for t in prefix:
         ab, ac, bc = through[t]
         cands &= ~(ab | ac | bc)
-    for v, d in enumerate(_degrees(n, prefix)):
+        for v in triples[t]:
+            deg[v] += 1
+    for v, d in enumerate(deg):
         if d >= delta:
-            cands &= ~_vertex_masks(n)[v]
-    return cands
+            cands &= ~at[v]
+    return cands, deg
 
 
 @lru_cache(maxsize=None)
 def _star(n):
     """Triple indices of {0,1,2}, {0,3,4}, ... up to degree (n-1)//2; vertex
-    0's star at degree delta is the first delta of them."""
-    triples = _tables(n)[0]
-    return tuple(triples.index((0, 2 * j + 1, 2 * j + 2)) for j in range((n - 1) // 2))
+    0's star at degree delta is the first delta of them.  The triples
+    before {0,2j+1,2j+2} are those {0,b,c} with b <= 2j."""
+    return tuple(comb(n - 1, 2) - comb(n - 1 - 2 * j, 2) for j in range((n - 1) // 2))
+
+
+def _star_edges(delta):
+    """Vertex 0's star at degree delta, as triples."""
+    return tuple(Triple(0, 2 * j + 1, 2 * j + 2) for j in range(delta))
 
 
 def _star_runs(n, stop_at):
@@ -252,8 +249,9 @@ def _star_runs(n, stop_at):
 
 
 class _Budget:
-    """A search call's node and wall-clock budget; each pool worker holds a
-    copy, and the copies count nodes through a shared counter."""
+    """A search call's node and wall-clock budget, and its one record of the
+    guard pushes made and of whether the budget cut them.  Each pool worker
+    holds a copy, and the copies count pushes through a shared counter."""
 
     __slots__ = ("node_limit", "deadline", "counter", "local", "exceeded")
 
@@ -264,6 +262,11 @@ class _Budget:
         self.local = 0
         self.exceeded = False
 
+    @property
+    def spent(self) -> int:
+        """The shared count once a pool has started, else this copy's own."""
+        return self.local if self.counter is None else self.counter.value
+
     def spend(self, nodes: int) -> bool:
         """Register nodes; returns True when the budget is gone."""
         self.local += nodes
@@ -272,10 +275,8 @@ class _Budget:
                 self.counter.value += nodes
         if self.exceeded:
             return True
-        if self.node_limit is not None:
-            total = self.counter.value if self.counter is not None else self.local
-            if total >= self.node_limit:
-                self.exceeded = True
+        if self.node_limit is not None and self.spent >= self.node_limit:
+            self.exceeded = True
         if self.deadline is not None and time.monotonic() >= self.deadline:
             self.exceeded = True
         return self.exceeded
@@ -293,16 +294,16 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
     cannot exceed the bound.  A bound of stop_at ends the run: it is the
     proof threshold, at which every other branch is prunable.
     shared_best, a value shared by pool workers, raises the bound whenever
-    another worker has done better.  The budget is checked on entry and
-    every _CHECK_EVERY pushes.  A prefix the guard rejects ends the run on
-    entry.
+    another worker has done better.  A prefix the guard rejects ends the
+    run on entry.
 
-    Returns (nodes, clean): guard push attempts below the prefix, and False
-    when the budget cut the run short.
+    Every push below the prefix is spent from the budget, which is checked
+    on entry, before any table is built, and before the next push once
+    _CHECK_EVERY pushes have been made; a cut leaves budget.exceeded set.
     """
+    if budget.spend(0):
+        return
     triples, vmasks, pmasks = _tables(n)
-    through = _pair_masks(n)
-    at = _vertex_masks(n)
     guard = SailGuard(n)
     pushed = 0
     for t in prefix:
@@ -310,14 +311,13 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             break
         pushed += 1
     stack = guard._stack
-    deg = _degrees(n, prefix)
+    through, at = _index_masks(n)
     last = delta - 1  # a vertex at this degree is full after one more edge
-    nodes = 0
     unchecked = 0
-    done = pushed < len(prefix) or bound >= stop_at or budget.spend(0)
+    done = False
 
     def rec(cands, cap):
-        nonlocal bound, nodes, unchecked, done
+        nonlocal bound, unchecked, done
         size = len(stack)
         if shared_best is not None and shared_best.value > bound:
             bound = shared_best.value
@@ -346,13 +346,12 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
                 rest &= ~at[c]
             if size + 1 + rest.bit_count() <= bound:
                 continue
-            unchecked += 1
             if unchecked == _CHECK_EVERY:
                 unchecked = 0
                 if budget.spend(_CHECK_EVERY):
                     done = True
                     return
-            nodes += 1
+            unchecked += 1
             if guard._push_fast(t, vmasks[ti], pmasks[ti]):
                 continue
             deg[a] += 1
@@ -364,20 +363,19 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             deg[c] -= 1
             guard._pop_fast()
 
-    if not done:
-        rec(_candidates(n, prefix, delta),
-            sum(min(delta - d, (n - 1 - 2 * d) >> 1) for d in deg))
+    if pushed == len(prefix) and bound < stop_at:
+        cands, deg = _candidates(n, prefix, delta)
+        rec(cands, sum(min(delta - d, (n - 1 - 2 * d) >> 1) for d in deg))
+        budget.spend(unchecked)
     for _ in range(pushed):
         guard._pop_fast()
-    budget.spend(unchecked)
-    return nodes, not budget.exceeded
 
 
 def _max_kernel(n, prefix, delta, bound, stop_at, budget, shared_best=None):
     """The DFS with the maximum's leaf policy: keep the largest system.
 
-    Returns (found_best, found_edges, nodes, clean); found_best is 0 and
-    found_edges None when nothing beat the starting bound.
+    Returns (found_best, found_edges); found_best is 0 and found_edges None
+    when nothing beat the starting bound.
     """
     found, found_edges = 0, None
 
@@ -391,8 +389,8 @@ def _max_kernel(n, prefix, delta, bound, stop_at, budget, shared_best=None):
                     shared_best.value = size
         return size
 
-    nodes, clean = _dfs(n, prefix, delta, bound, stop_at, budget, leaf, shared_best)
-    return found, found_edges, nodes, clean
+    _dfs(n, prefix, delta, bound, stop_at, budget, leaf, shared_best)
+    return found, found_edges
 
 
 def _enum_kernel(n, prefix, delta, m, stop_at, budget, emit: Callable):
@@ -407,21 +405,18 @@ def _enum_kernel(n, prefix, delta, m, stop_at, budget, emit: Callable):
         emit(tuple(stack))
         return m - 1
 
-    return _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
+    _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
 
 
 def _max_runs(n, runs, bound, budget):
     """_max_kernel over (prefix, delta, stop_at) runs in order, each run
     starting from the best so far.  Returns what _max_kernel returns."""
-    found, found_edges, nodes, clean = 0, None, 0, True
+    found, found_edges = 0, None
     for prefix, delta, stop_at in runs:
-        got, got_edges, more, ok = _max_kernel(n, prefix, delta, max(bound, found),
-                                               stop_at, budget)
-        nodes += more
-        clean = clean and ok
+        got, got_edges = _max_kernel(n, prefix, delta, max(bound, found), stop_at, budget)
         if got:
             found, found_edges = got, got_edges
-    return found, found_edges, nodes, clean
+    return found, found_edges
 
 
 def _form_adder(n, forms: set):
@@ -438,18 +433,19 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     the tree was fully explored, or the best system reached the theoretical
     upper bound, at which point every open branch is prunable.  With a
     node or time limit the flag may come back False, and max_edges is only
-    a lower bound.  nodes_explored counts guard push attempts, which the
-    node limit also counts; children pruned by a bound before their push
-    are not counted (n=8 takes 12, n=10 56, n=13 about 151,000 and n=16
-    about 29M, about 171 s on one core of a 2-core x86-64 VM).  With
-    several workers and no time limit, a clean run that beats the largest
-    star takes its witness from one more serial pass that stops at the
-    first system of that size, so the witness is the serial one; that
-    pass spends from the call's budget, and its pushes are counted too.
-    Under a time limit the pass is not run, since it can take far longer
-    than the pool (n=16: ~150 s against ~3 s) and the deadline would cut
-    it: the witness is then the pool's, and which system of that size it
-    is depends on task completion order.
+    a lower bound.  nodes_explored is the guard pushes the call's budget
+    counted, which the node limit also counts; children pruned by a bound
+    before their push are not counted (n=8 takes 12, n=10 56, n=13 about
+    151,000 and n=16 about 29M, about 171 s on one core of a 2-core x86-64
+    VM).  With several workers and no time limit, a clean run that beats
+    the largest star takes its witness from one more serial pass that
+    stops at the first system of that size, so the witness is the serial
+    one; that pass spends from the call's budget, and its pushes are
+    counted too, but a cut pass keeps the pool's witness and proof.  Under
+    a time limit the pass is not run, since it can take far longer than
+    the pool (n=16: ~150 s against ~3 s) and the deadline would cut it:
+    the witness is then the pool's, and which system of that size it is
+    depends on task completion order.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -459,31 +455,31 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     runs = _star_runs(n, stop_at)
     # the star of the largest degree alone is the starting best
     best = min((n - 1) // 2, stop_at)
-    edges = [_tables(n)[0][t] for t in _star(n)[:best]]
+    edges = _star_edges(best)
 
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else start + opts.time_limit)
     if opts.worker_count == 1:
-        found, found_edges, nodes, clean = _max_runs(n, runs, best, budget)
+        found, found_edges = _max_runs(n, runs, best, budget)
+        clean = not budget.exceeded
     else:
         shared_best = mp.Value("q", best, lock=True)
-        clean, nodes, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
-                                          budget, _max_task, shared_best)
+        clean, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
+                                   budget, _max_task, shared_best)
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
         if clean and found > best and opts.time_limit is None:
             # Which equal-size result the pool keeps depends on completion
             # order.  The serial witness is the first found-edge system in
             # DFS preorder, which a pass that stops at found edges returns.
-            again, again_edges, more, _ = _max_runs(
+            again, again_edges = _max_runs(
                 n, [(p, d, min(s, found)) for p, d, s in runs], found - 1, budget)
-            nodes += more
             if again == found:
                 found_edges = again_edges
     if found > best:
         best, edges = found, found_edges
     witness = LinearTripleSystem(n, tuple(edges))
     exhausted = best >= ubn or (clean and best < stop_at)
-    return SearchReport(n, best, witness, nodes, time.monotonic() - start, exhausted)
+    return SearchReport(n, best, witness, budget.spent, time.monotonic() - start, exhausted)
 
 
 def enumerate_extremal(n: int, m: int,
@@ -506,15 +502,17 @@ def enumerate_extremal(n: int, m: int,
     emit = _form_adder(n, forms)
 
     if opts.worker_count == 1:
-        clean = all(_enum_kernel(n, p, d, m, s, budget, emit)[1] for p, d, s in runs)
+        for prefix, delta, stop_at in runs:
+            _enum_kernel(n, prefix, delta, m, stop_at, budget, emit)
+        clean = not budget.exceeded
     else:
-        # roots that are m-edge systems themselves, which no depth-2 task covers
-        for prefix, _, _ in runs:
-            if len(prefix) == m:
-                emit(tuple(_tables(n)[0][t] for t in prefix))
-        clean, _, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]],
-                                      opts.worker_count, budget, partial(_enum_task, m))
+        clean, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]],
+                                   opts.worker_count, budget, partial(_enum_task, m))
         forms.update(*results)
+        if clean and m <= (n - 1) // 2:
+            # the root of the run at degree m is an m-edge system, which no
+            # depth-2 task covers
+            emit(_star_edges(m))
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
     return forms
@@ -532,24 +530,22 @@ def _pool_init(n, budget, shared_best):
 def _max_task(task):
     prefix, delta, stop_at = task
     n, budget, shared_best = _WORKER_STATE["n"], _WORKER_STATE["budget"], _WORKER_STATE["best"]
-    found, edges, nodes, clean = _max_kernel(n, prefix, delta, shared_best.value, stop_at,
-                                             budget, shared_best)
-    return nodes, clean, (found, edges)
+    result = _max_kernel(n, prefix, delta, shared_best.value, stop_at, budget, shared_best)
+    return not budget.exceeded, result
 
 
 def _enum_task(m, task):
     prefix, delta, stop_at = task
-    n, forms = _WORKER_STATE["n"], set()
-    nodes, clean = _enum_kernel(n, prefix, delta, m, stop_at, _WORKER_STATE["budget"],
-                                _form_adder(n, forms))
-    return nodes, clean, forms
+    n, budget, forms = _WORKER_STATE["n"], _WORKER_STATE["budget"], set()
+    _enum_kernel(n, prefix, delta, m, stop_at, budget, _form_adder(n, forms))
+    return not budget.exceeded, forms
 
 
 def _depth2_prefixes(n, runs):
     """The (prefix + (t,), delta, stop_at) tasks, in run order, covering the
     whole tree below the runs' prefixes except the prefixes themselves."""
     for prefix, delta, stop_at in runs:
-        cands = _candidates(n, prefix, delta)
+        cands = _candidates(n, prefix, delta)[0]
         for t in range(prefix[-1] + 1, cands.bit_length()):
             if cands >> t & 1:
                 yield prefix + (t,), delta, stop_at
@@ -560,12 +556,13 @@ def _run_pool(n, runs, workers, budget, task, shared_best=None):
     that spends from the call's budget through a shared node counter.
 
     Tasks are handed out lazily, under the rules in the module docstring;
-    each returns (nodes, clean, result).  Returns (clean, nodes, results),
+    each returns (clean, result), clean read from its worker's copy of the
+    budget, which alone sees a cut there.  Returns (clean, results),
     results in completion order.  No pool starts when there is no run or
     the budget is already gone.
     """
     if not runs or budget.spend(0):
-        return not budget.exceeded, 0, []
+        return not budget.exceeded, []
     budget.counter = mp.Value("q", budget.local, lock=True)
 
     def tasks():
@@ -577,5 +574,5 @@ def _run_pool(n, runs, workers, budget, task, shared_best=None):
 
     with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget, shared_best)) as pool:
         outcomes = list(pool.imap_unordered(task, tasks()))
-    clean = not budget.exceeded and all(ok for _, ok, _ in outcomes)
-    return clean, sum(nodes for nodes, _, _ in outcomes), [result for *_, result in outcomes]
+    clean = not budget.exceeded and all(ok for ok, _ in outcomes)
+    return clean, [result for _, result in outcomes]

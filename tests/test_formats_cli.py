@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sailfree import cli
 from sailfree.cli import main
 from sailfree.constructions import ConstructionSpec, build, transversal_design
 from sailfree.core import Triple, make_system
@@ -313,6 +314,23 @@ def test_cli_search_enumerate(capsys):
     assert run_cli("search", "--n", "6", "--target", "4", "--enumerate") == 0
     out = capsys.readouterr().out
     assert "1 isomorphism classes" in out
+
+
+def test_cli_search_enumerate_limits_cover_both_searches(monkeypatch, capsys):
+    # without --target the maximum runs first; the enumeration gets what it left
+    seen = []
+
+    def record(n, m, opts):
+        seen.append(opts)
+        return set()
+
+    monkeypatch.setattr(cli, "enumerate_extremal", record)
+    assert run_cli("search", "--n", "10", "--threads", "1", "--enumerate",
+                   "--node-limit", "100000", "--time-limit", "60") == 0
+    (opts,) = seen
+    assert opts.node_limit == 100000 - 56  # n=10 takes 56 pushes
+    assert opts.time_limit < 60
+    assert "0 isomorphism classes" in capsys.readouterr().out
 
 
 def test_cli_canon_and_iso(tmp_path, capsys):

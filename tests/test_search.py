@@ -42,9 +42,9 @@ def test_upper_bound_values():
 def _unbroken_max(n):
     """The search without the star break: below the first edge at cap
     (n-1)//2, where the cap never binds."""
-    found, _, _, clean = _max_kernel(n, (0,), (n - 1) // 2, 1, upper_bound(n),
-                                     _Budget(None, None))
-    assert clean
+    budget = _Budget(None, None)
+    found, _ = _max_kernel(n, (0,), (n - 1) // 2, 1, upper_bound(n), budget)
+    assert not budget.exceeded
     return max(found, 1)
 
 
@@ -75,10 +75,9 @@ def test_n16_maximum_is_proven():
 
 def _unbroken_classes(n, m):
     """Enumeration without the star break, as in _unbroken_max."""
-    forms = set()
-    _, clean = _enum_kernel(n, (0,), (n - 1) // 2, m, upper_bound(n), _Budget(None, None),
-                            _form_adder(n, forms))
-    assert clean
+    forms, budget = set(), _Budget(None, None)
+    _enum_kernel(n, (0,), (n - 1) // 2, m, upper_bound(n), budget, _form_adder(n, forms))
+    assert not budget.exceeded
     return forms
 
 
@@ -166,14 +165,31 @@ def test_parallel_budget_gone_at_entry_hands_out_no_task():
     assert (report.exhausted, report.nodes_explored) == (False, 0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_gone_at_entry_builds_no_table(monkeypatch, workers):
+    # building the tables takes a fraction of a second at this size; a call
+    # that cannot push has no use for them
+    def no_table(n):
+        raise AssertionError(f"_tables({n}) built")
+
+    monkeypatch.setattr(search, "_tables", no_table)
+    opts = SearchOptions(time_limit=0, worker_count=workers)
+    report = max_sail_free(61, opts)
+    assert (report.exhausted, report.nodes_explored) == (False, 0)
+    for m in (3, 40):
+        with pytest.raises(LimitExceeded):
+            enumerate_extremal(61, m, opts)
+
+
 def test_budget_spends_each_batch_once():
     budget = _Budget(3000, None)
-    *_, nodes, clean = _max_kernel(10, (0,), 4, 1, upper_bound(10), budget)
-    # two batches: 4,095 pushes and the attempt that found the budget gone
-    assert (nodes, budget.local, clean) == (2 * _CHECK_EVERY - 1, 2 * _CHECK_EVERY, False)
+    _max_kernel(10, (0,), 4, 1, upper_bound(10), budget)
+    # two batches of pushes, each counted once; the check before the next
+    # push found the budget gone
+    assert (budget.local, budget.exceeded) == (2 * _CHECK_EVERY, True)
     spent = _Budget(0, None)
-    assert _max_kernel(8, (0,), 3, 1, upper_bound(8), spent)[2:] == (0, False)
-    assert spent.local == 0
+    assert _max_kernel(8, (0,), 3, 1, upper_bound(8), spent) == (0, None)
+    assert (spent.local, spent.exceeded) == (0, True)
 
 
 @pytest.mark.parametrize("bad", [
@@ -190,7 +206,7 @@ def test_search_options_reject_invalid_values(bad):
 
 def test_node_limited_runs_at_large_n_are_pinned():
     # candidate masks span 9,880 triples at n=40 and 41,664 at n=64
-    for n, limit, best, nodes in ((40, 20000, 70, 20059), (64, 3000, 33, 4095)):
+    for n, limit, best, nodes in ((40, 20000, 70, 20060), (64, 3000, 33, 4096)):
         report = max_sail_free(n, SearchOptions(node_limit=limit))
         assert (report.max_edges, report.nodes_explored) == (best, nodes), n
         assert not report.exhausted
@@ -272,7 +288,7 @@ def _push_first_dfs(n, prefix, delta, bound, stop_at, budget, leaf):
     guard = SailGuard(n)
     for t in prefix:
         if guard._push_fast(triples[t], vmasks[t], pmasks[t]):
-            return 0, True  # a prefix holding a sail has no systems below it
+            return  # a prefix holding a sail has no systems below it
     stack = guard._stack
     nbr = guard._nbr
     nodes = 0
@@ -320,7 +336,6 @@ def _push_first_dfs(n, prefix, delta, bound, stop_at, budget, leaf):
 
     rec(base)
     budget.spend(unchecked)
-    return nodes, not budget.exceeded
 
 
 def _leaf_sequence(dfs, n, runs, bound, enumerate_m=None):
@@ -333,8 +348,9 @@ def _leaf_sequence(dfs, n, runs, bound, enumerate_m=None):
         return enumerate_m - 1 if enumerate_m is not None else len(stack)
 
     for prefix, delta, stop_at in runs:
-        _, clean = dfs(n, prefix, delta, bound, stop_at, _Budget(None, None), leaf)
-        assert clean
+        budget = _Budget(None, None)
+        dfs(n, prefix, delta, bound, stop_at, budget, leaf)
+        assert not budget.exceeded
     return seen
 
 
@@ -400,5 +416,6 @@ def test_split_matches_a_guard_probe_walk():
             # the guard rejects, and it returns empty
             assert bool(rejected) == any(len(r[0]) >= 3 for r in runs), (n, runs)
             for prefix, delta, stop_at in rejected:
-                assert _max_kernel(n, prefix, delta, 1, stop_at, _Budget(None, None)) == (
-                    0, None, 0, True)
+                budget = _Budget(None, None)
+                assert _max_kernel(n, prefix, delta, 1, stop_at, budget) == (0, None)
+                assert (budget.local, budget.exceeded) == (0, False)
