@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
 from .errors import LimitExceeded, RoleShapeMismatch, TripleSystemError
 from .formats import parse_system, serialize_system, system_to_json
-from .search import SearchOptions, enumerate_extremal, max_sail_free
+from .search import SearchOptions, _remaining, enumerate_extremal, max_sail_free
 from .verify import ROLES, table, verify_report
 
 EXIT_OK = 0
@@ -176,11 +175,7 @@ def cmd_search(args) -> int:
                 print("maximum not proven under the given limits", file=sys.stderr)
                 return EXIT_LIMIT
             target = report.max_edges
-            # the enumeration gets what the maximum left of the limits
-            if opts.node_limit is not None:
-                opts = replace(opts, node_limit=max(0, opts.node_limit - report.nodes_explored))
-            if opts.time_limit is not None:
-                opts = replace(opts, time_limit=max(0.0, opts.time_limit - report.elapsed))
+            opts = _remaining(opts, report)
         forms = enumerate_extremal(args.n, target, opts)
         if args.json:
             print(json.dumps({
@@ -265,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--threads", type=int, default=_default_threads())
-    limits.add_argument("--node-limit", type=int)
-    limits.add_argument("--time-limit", type=float, help="seconds")
+    limits.add_argument("--node-limit", type=int, help="guard pushes, for the whole command")
+    limits.add_argument("--time-limit", type=float, help="seconds, for the whole command")
 
     p = sub.add_parser("construct", help="run one of the generators")
     p.add_argument("--type", required=True,

@@ -9,39 +9,37 @@ policy, which returns the new bound: the maximum search records the
 system and raises the bound to its size, so the search goes on above it;
 enumeration of m-edge systems emits the system and holds the bound at
 m-1, so no system grows past m edges.  Every run has a degree cap Delta:
-no vertex may lie in more than Delta edges.  Two admissible bounds prune a
-child when it cannot exceed the bound: the number of remaining
-pair-compatible candidate triples, and the per-vertex capacity
-sum(min(Delta - deg v, floor((n-1-|N(v)|)/2)))//3 (a vertex of a linear
-system gains at most one edge per two unseen vertices, and at most
-Delta - deg v edges under the cap).
+no vertex may lie in more than Delta edges.  Besides the run stops below,
+the one prune is the candidate count: a child is pruned when its edges
+and the pair-compatible candidate triples left to it cannot exceed the
+bound.
 
-Both bounds are evaluated before the guard is touched, so a child that
+The count is evaluated before the guard is touched, so a child that
 cannot exceed the bound costs no push.  The bound never falls during a
 run (leaf policies return at least the old bound, and the shared best
 only rises), so a test that fails for one child fails for every later
-child of the same node.  The three steps:
+child of the same node.  The two steps:
 
-1. Capacity carried down.  An accepted edge {a,b,c} is linear with the
-   stack, so each of its vertices gains one edge and exactly two unseen
-   neighbours, and both terms of its min fall by exactly 1.  Every child
-   therefore has capacity cap-3: the capacity is computed once, after the
-   prefix, and each child is handed cap-3.  A child with s+1 edges passes
-   the capacity test iff s + cap//3 exceeds the bound.  That test does
-   not depend on the child, so the node evaluates it once on entry and
-   returns when it fails.  After the leaf check s <= bound, so cap < 3
-   (where no push can succeed) always returns.
-2. Count cut on the loop.  A child's candidates are a subset of the
+1. Count cut on the loop.  A child's candidates are a subset of the
    candidates after it, so once s plus the number of candidates not yet
    tried (the current one included) is at most the bound, no later child
    can pass the count test, and the node returns.
-3. Filter before pushing.  Every candidate set is pair-compatible with
+2. Filter before pushing.  Every candidate set is pair-compatible with
    the stack and avoids the vertices at the cap, so the child's
    candidates after pushing triple t are the later candidates whose pairs
    avoid t's pairs and that miss every vertex t brings to the cap, which
    can be computed before the push.  The guard is asked only for a child
    that passes the count test; its answer then decides whether the child
    is expanded.
+
+No capacity test is needed.  A vertex v of a linear system gains at most
+one edge per two unseen vertices, and at most Delta - deg v edges under
+the cap.  Every run's cap is at most (n-1)//2, so the second term is the
+smaller, and at a node of s edges the capacities sum to n*Delta - 3s:
+the capacity test s + (n*Delta - 3s)//3 <= bound is n*Delta//3 <= bound
+at every node.  Every caller passes stop_at <= n*Delta//3 (every run's
+stop below satisfies it), and a run ends once its bound reaches stop_at,
+so the test never fails while the run goes on.
 
 A node's candidates are one int bit mask over triple indices.  For each
 triple t = {a,b,c}, _index_masks holds the masks of the triples through
@@ -51,16 +49,13 @@ the masks of the vertices t fills, and the count tests are bit counts.
 The loop takes set bits from low to high, which is lexicographic order.
 
 Every expanded node and every leaf is the same, in the same order, as
-when both bounds and the cap ran on the grown stack after each push; only
-pushes of children that would never be expanded are dropped.  (When a
-leaf raises the bound in the middle of a node's loop, a later child that
-now fails the capacity test may still be pushed; its own entry test
-returns at once, before any leaf or push.)  At Delta = (n-1)//2 the cap
-never binds: a vertex of degree (n-1)//2 has at most one unseen vertex
-left, so no pair-compatible triple runs through it, and both terms of the
-min are equal.  The search at that cap below the first edge {0,1,2} is
-the unbroken one; only the tests run it, as the oracle the star break is
-checked against.
+when the cap, the count and the capacity ran on the grown stack after
+each push; only pushes of children that would never be expanded are
+dropped.  At Delta = (n-1)//2 the cap never binds: a vertex of degree
+(n-1)//2 has at most one unseen vertex left, so no pair-compatible
+triple runs through it.  The search at that cap below the first edge
+{0,1,2} is the unbroken one; only the tests run it, as the oracle the
+star break is checked against.
 
 Star symmetry break.  Both searches run once per maximum degree
 Delta, from (n-1)//2 down to 1, each below the prefix
@@ -72,14 +67,17 @@ so the relabeled sorted edge list starts with the star; every vertex has
 degree at most Delta, so the run at Delta reaches it.  The maximum
 therefore loses no value, and enumeration keeps at least one labeled
 member of every isomorphism class (it deduplicates through canonical
-forms, so the break only drops relabeled duplicates).  Two more bounds
-cap each run: the degrees sum to 3m <= n*Delta, so m <= n*Delta//3; and
+forms, so the break only drops relabeled duplicates).  The per-Delta
+stop min(n*Delta//3, Delta*(n-2*Delta)) bounds the systems of maximum
+degree Delta: the degrees sum to 3m <= n*Delta, so m <= n*Delta//3; and
 an edge off the star with all three vertices in N(0) would meet three
 star edges outside 0 (two of its vertices in one star edge would repeat
 that edge's pair), a crossbar, so every edge off the star meets one of the
 n-1-2Delta vertices outside N[0], each of degree at most Delta, and
-m <= Delta + Delta*(n-1-2Delta).  The run's stop_at is the smallest of
-these and the global one.
+m <= Delta + Delta*(n-1-2Delta) = Delta*(n-2*Delta).  The run's stop_at
+is the smaller of its stop and the call's.  Every system has a maximum
+degree from 1 to (n-1)//2, so the largest stop, upper_bound, bounds the
+maximum.
 
 A run ends once its bound reaches stop_at (the most edges a system below
 its prefix can have, or target_edges), where every open branch is
@@ -107,9 +105,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from math import comb
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial, reduce
+from math import comb, inf
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
@@ -141,9 +139,9 @@ class SearchReport:
     """The outcome of max_sail_free.
 
     nodes_explored is the count the call's budget kept of its guard
-    pushes: the children that passed both bounds and were handed to the
-    guard, accepted or not, in serial runs, pool tasks and the witness
-    pass.  Children the bounds rule out before the push are not counted.
+    pushes: the children that passed the count test and were handed to
+    the guard, accepted or not, in serial runs, pool tasks and the witness
+    pass.  Children the count rules out before the push are not counted.
     """
 
     n: int
@@ -160,16 +158,22 @@ class SearchReport:
             raise ValueError("max_edges exceeds the theoretical upper bound")
 
 
+@lru_cache(maxsize=None)  # read by every search call and report
 def upper_bound(n: int) -> int:
-    """min(floor(n^2/9), floor(n*floor((n-1)/2)/3)).
+    """The largest per-Delta stop of _star_runs, over Delta = 1..(n-1)//2.
 
-    The first term is the fan-free bound, the second the linearity degree
-    bound: a vertex of a linear system lies in at most floor((n-1)/2)
-    triples.
+    Every system has a maximum degree in that range, so this bounds the
+    maximum.  The fan-free bound floor(n^2/9) and the linearity degree
+    bound floor(n*floor((n-1)/2)/3) (a vertex of a linear system lies in
+    at most floor((n-1)/2) triples) follow from it.  For Delta <= n/3,
+    n*Delta/3 <= n^2/9; for Delta >= n/3, Delta*(n-2*Delta) <= n^2/9,
+    since it decreases from Delta = n/4 on and is n^2/9 at n/3; and
+    n*Delta/3 <= n*floor((n-1)/2)/3 throughout.  It is below their
+    minimum for 39 values of n up to 64 (n=10: 10 against 11), and it
+    equals formula_value(n) wherever that exists, except n = 3k+1 with
+    k >= 6.
     """
-    if n < 3:
-        return 0
-    return min(n * n // 9, n * ((n - 1) // 2) // 3)
+    return max((stop for _, _, stop in _star_runs(n, inf)), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -196,17 +200,21 @@ def _index_masks(n: int):
     mask object.  at[v] is the mask of the triples through vertex v.
     """
     triples = _tables(n)[0]
-    pairs = [0] * (n * n)
-    at = [0] * n
+    # each pair's mask is set in a bitmap and made an int once (setting its
+    # bits by |= would copy the growing int once per bit); each bitmap is
+    # dropped as soon as its int is made
+    size = (len(triples) + 7) >> 3
+    bits = {a * n + b: bytearray(size) for a in range(n) for b in range(a + 1, n)}
     for i, (a, b, c) in enumerate(triples):
-        bit = 1 << i
         for p in (a * n + b, a * n + c, b * n + c):
-            pairs[p] |= bit
-        for v in (a, b, c):
-            at[v] |= bit
+            bits[p][i >> 3] |= 1 << (i & 7)
+    pairs = {p: int.from_bytes(bits.pop(p), "little") for p in list(bits)}
     through = tuple((pairs[a * n + b], pairs[a * n + c], pairs[b * n + c])
                     for a, b, c in triples)
-    return through, tuple(at)
+    # the triples through v are those through its pairs
+    at = tuple(reduce(int.__or__, (pairs[min(u, v) * n + max(u, v)] for u in range(n) if u != v))
+               for v in range(n))
+    return through, at
 
 
 def _candidates(n, prefix, delta):
@@ -243,8 +251,10 @@ def _star_edges(delta):
 
 def _star_runs(n, stop_at):
     """(prefix, delta, stop_at) of the symmetry break's run at each maximum
-    degree delta, largest first; see the module docstring for the stops."""
-    return [(_star(n)[:d], d, min(stop_at, n * d // 3, d + d * (n - 1 - 2 * d)))
+    degree delta, largest first.  A run's stop_at is the smaller of the
+    given one and the per-Delta stop, the most edges of a system of
+    maximum degree delta (module docstring)."""
+    return [(_star(n)[:d], d, min(stop_at, n * d // 3, d * (n - 2 * d)))
             for d in range((n - 1) // 2, 0, -1)]
 
 
@@ -290,9 +300,11 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
 
     Every node with more edges than the bound goes to leaf(stack), which
     returns the new bound; the node is extended only if it no longer
-    exceeds that bound.  A child is pruned, before its push, when it
-    cannot exceed the bound.  A bound of stop_at ends the run: it is the
-    proof threshold, at which every other branch is prunable.
+    exceeds that bound.  A child is pruned, before its push, when its
+    candidate count cannot take it past the bound.  A bound of stop_at
+    ends the run: it is the proof threshold, at which every other branch
+    is prunable.  stop_at must be at most n*delta//3, which makes a
+    capacity test needless (module docstring).
     shared_best, a value shared by pool workers, raises the bound whenever
     another worker has done better.  A prefix the guard rejects ends the
     run on entry.
@@ -316,7 +328,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
     unchecked = 0
     done = False
 
-    def rec(cands, cap):
+    def rec(cands):
         nonlocal bound, unchecked, done
         size = len(stack)
         if shared_best is not None and shared_best.value > bound:
@@ -327,8 +339,6 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             done = bound >= stop_at
             if done or size > bound:
                 return
-        if size + cap // 3 <= bound:
-            return
         while cands:
             if done or size + cands.bit_count() <= bound:
                 return
@@ -357,7 +367,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             deg[a] += 1
             deg[b] += 1
             deg[c] += 1
-            rec(rest, cap - 3)
+            rec(rest)
             deg[a] -= 1
             deg[b] -= 1
             deg[c] -= 1
@@ -365,7 +375,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
 
     if pushed == len(prefix) and bound < stop_at:
         cands, deg = _candidates(n, prefix, delta)
-        rec(cands, sum(min(delta - d, (n - 1 - 2 * d) >> 1) for d in deg))
+        rec(cands)
         budget.spend(unchecked)
     for _ in range(pushed):
         guard._pop_fast()
@@ -419,6 +429,16 @@ def _max_runs(n, runs, bound, budget):
     return found, found_edges
 
 
+def _remaining(opts: SearchOptions, report: SearchReport) -> SearchOptions:
+    """opts less the nodes and time report spent, each limit floored at 0:
+    what a later search of the same command may still spend."""
+    if opts.node_limit is not None:
+        opts = replace(opts, node_limit=max(0, opts.node_limit - report.nodes_explored))
+    if opts.time_limit is not None:
+        opts = replace(opts, time_limit=max(0.0, opts.time_limit - report.elapsed))
+    return opts
+
+
 def _form_adder(n, forms: set):
     """An emit callback adding each system's canonical form to forms."""
     def emit(edges):
@@ -430,13 +450,14 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     """Exact maximum number of edges of a sail-free linear system on n vertices.
 
     The report's exhausted flag is True when the value is proven: either
-    the tree was fully explored, or the best system reached the theoretical
-    upper bound, at which point every open branch is prunable.  With a
-    node or time limit the flag may come back False, and max_edges is only
-    a lower bound.  nodes_explored is the guard pushes the call's budget
-    counted, which the node limit also counts; children pruned by a bound
-    before their push are not counted (n=8 takes 12, n=10 56, n=13 about
-    151,000 and n=16 about 29M, about 171 s on one core of a 2-core x86-64
+    the tree was fully explored, or the best system reached upper_bound(n),
+    the largest per-Delta stop, at which point every open branch is
+    prunable; a call its budget cut is then proven too.  With a node or
+    time limit the flag may come back False, and max_edges is only a lower
+    bound.  nodes_explored is the guard pushes the call's budget
+    counted, which the node limit also counts; children pruned by the
+    count before their push are not counted (n=8 takes 12, n=10 56, n=13
+    151,002 and n=16 about 29M, about 171 s on one core of a 2-core x86-64
     VM).  With several workers and no time limit, a clean run that beats
     the largest star takes its witness from one more serial pass that
     stops at the first system of that size, so the witness is the serial
@@ -463,9 +484,8 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
         found, found_edges = _max_runs(n, runs, best, budget)
         clean = not budget.exceeded
     else:
-        shared_best = mp.Value("q", best, lock=True)
         clean, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
-                                   budget, _max_task, shared_best)
+                                   budget, _max_task, best)
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
         if clean and found > best and opts.time_limit is None:
             # Which equal-size result the pool keeps depends on completion
@@ -497,7 +517,7 @@ def enumerate_extremal(n: int, m: int,
         raise ValueError("m must be >= 1")
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else time.monotonic() + opts.time_limit)
-    runs = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
+    runs = [r for r in _star_runs(n, inf) if len(r[0]) <= m]
     forms: set[CanonicalForm] = set()
     emit = _form_adder(n, forms)
 
@@ -551,9 +571,10 @@ def _depth2_prefixes(n, runs):
                 yield prefix + (t,), delta, stop_at
 
 
-def _run_pool(n, runs, workers, budget, task, shared_best=None):
+def _run_pool(n, runs, workers, budget, task, best=None):
     """Run task over the depth-2 prefixes below the runs in a process pool
     that spends from the call's budget through a shared node counter.
+    For the maximum, best starts the shared best that the workers raise.
 
     Tasks are handed out lazily, under the rules in the module docstring;
     each returns (clean, result), clean read from its worker's copy of the
@@ -564,6 +585,7 @@ def _run_pool(n, runs, workers, budget, task, shared_best=None):
     if not runs or budget.spend(0):
         return not budget.exceeded, []
     budget.counter = mp.Value("q", budget.local, lock=True)
+    shared_best = None if best is None else mp.Value("q", best, lock=True)
 
     def tasks():
         for prefix, delta, stop_at in _depth2_prefixes(n, runs):

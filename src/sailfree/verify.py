@@ -19,7 +19,7 @@ from typing import Optional
 from .core import MAX_VERTICES, LinearTripleSystem, deficiency
 from .errors import RoleShapeMismatch
 from .sails import SailWitness, find_sail_fast
-from .search import SearchOptions, SearchReport, max_sail_free
+from .search import SearchOptions, SearchReport, _remaining, max_sail_free
 
 # role -> (n - 3k, edge count as a function of k, its label, the role's own
 # condition on (max degree, sorted degrees, k, total deficiency))
@@ -129,12 +129,17 @@ class TableRow:
 
 
 def table(n_min: int, n_max: int, opts: SearchOptions = SearchOptions()) -> list[TableRow]:
-    """One search per n with the applicable formula and a match verdict."""
+    """One search per n with the applicable formula and a match verdict.
+
+    The node and time limits of opts cover all the searches: each row gets
+    what the earlier rows left of them.
+    """
     if not 4 <= n_min <= n_max <= MAX_VERTICES:
         raise ValueError(f"table needs 4 <= from <= to <= {MAX_VERTICES}, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         report: SearchReport = max_sail_free(n, opts)
+        opts = _remaining(opts, report)
         value, label = formula_value(n)
         if value is None:
             verdict = "no formula"

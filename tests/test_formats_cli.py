@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sailfree import cli
+from sailfree import cli, verify
 from sailfree.cli import main
 from sailfree.constructions import ConstructionSpec, build, transversal_design
 from sailfree.core import Triple, make_system
@@ -15,6 +15,7 @@ from sailfree.errors import (
     TripleSystemError,
 )
 from sailfree.formats import parse_system, serialize_system, system_to_json
+from sailfree.search import SearchOptions, max_sail_free
 from sailfree.verify import formula_value, infer_k, table, verify_report
 
 from conftest import SAIL7_EDGES, random_linear_system
@@ -206,6 +207,25 @@ def test_table_rows():
         table(3, 5)
 
 
+def test_table_limits_cover_all_rows(monkeypatch):
+    # each row gets what the earlier rows left of the limits
+    seen = []
+
+    def record(n, opts):
+        report = max_sail_free(n, opts)
+        seen.append((opts, report))
+        return report
+
+    monkeypatch.setattr(verify, "max_sail_free", record)
+    nodes, seconds = 1000, 60.0
+    table(6, 8, SearchOptions(node_limit=nodes, time_limit=seconds))
+    for opts, report in seen:
+        assert (opts.node_limit, opts.time_limit) == (nodes, seconds)
+        nodes -= report.nodes_explored
+        seconds -= report.elapsed
+    assert [r.nodes_explored for _, r in seen] == [2, 2, 12]  # n = 6, 7, 8
+
+
 def test_table_matches_the_paper_to_15():
     # every value proven; n=13 = 17 is the paper's k^2+1 case at k=4
     rows = table(4, 15)
@@ -293,9 +313,11 @@ def test_cli_search_and_json(capsys):
 
 
 def test_cli_search_limit_exit_code(capsys):
-    # n=8 needs a full exploration (the degree bound 7 is not attained),
-    # so a tiny node budget must surface as exit code 3
-    assert run_cli("search", "--n", "8", "--node-limit", "3") == 3
+    # n=19 needs a full exploration (its bound 38 is not attained), so a
+    # tiny node budget must surface as exit code 3
+    assert run_cli("search", "--n", "19", "--node-limit", "3") == 3
+    # n=8 reaches its bound 6 in 12 pushes: proven, though past the limit
+    assert run_cli("search", "--n", "8", "--node-limit", "3") == 0
     # a negative budget is a usage error, not an unproven maximum
     assert run_cli("search", "--n", "8", "--node-limit", "-5") == 2
     assert run_cli("search", "--n", "8", "--time-limit", "-1") == 2

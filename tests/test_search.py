@@ -22,6 +22,7 @@ from sailfree.search import (
     max_sail_free,
     upper_bound,
 )
+from sailfree.verify import formula_value
 
 
 @pytest.fixture(autouse=True)
@@ -31,19 +32,31 @@ def no_worker_left_running():
     assert mp.active_children() == []
 
 
+def _reference_bound(n):
+    """The fan-free bound floor(n^2/9) and the linearity degree bound
+    floor(n*floor((n-1)/2)/3), the oracles' stop: upper_bound is never
+    above it, so they cannot stop at the bound they check."""
+    return min(n * n // 9, n * ((n - 1) // 2) // 3)
+
+
 def test_upper_bound_values():
     assert upper_bound(9) == 9
-    assert upper_bound(10) == 11  # the true value there is 10
+    assert upper_bound(10) == 10
     assert upper_bound(3) == 1
     assert upper_bound(4) == 1
-    assert upper_bound(7) == 5
+    assert upper_bound(7) == 4
+    for n in range(3, 65):
+        assert upper_bound(n) <= _reference_bound(n), n
+        value = formula_value(n)[0]
+        if value is not None and not (n % 3 == 1 and n >= 19):
+            assert upper_bound(n) == value, n
 
 
 def _unbroken_max(n):
     """The search without the star break: below the first edge at cap
     (n-1)//2, where the cap never binds."""
     budget = _Budget(None, None)
-    found, _ = _max_kernel(n, (0,), (n - 1) // 2, 1, upper_bound(n), budget)
+    found, _ = _max_kernel(n, (0,), (n - 1) // 2, 1, _reference_bound(n), budget)
     assert not budget.exceeded
     return max(found, 1)
 
@@ -67,6 +80,12 @@ def test_n10_maximum_is_proven():
     assert report.nodes_explored == 56
 
 
+def test_n13_maximum_is_proven():
+    # the paper's k^2+1 at k=4, proven by a full traversal (about 1 s)
+    report = max_sail_free(13)
+    assert (report.max_edges, report.exhausted, report.nodes_explored) == (17, True, 151002)
+
+
 @pytest.mark.nightly
 def test_n16_maximum_is_proven():
     report = max_sail_free(16)
@@ -76,12 +95,13 @@ def test_n16_maximum_is_proven():
 def _unbroken_classes(n, m):
     """Enumeration without the star break, as in _unbroken_max."""
     forms, budget = set(), _Budget(None, None)
-    _enum_kernel(n, (0,), (n - 1) // 2, m, upper_bound(n), budget, _form_adder(n, forms))
+    _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget, _form_adder(n, forms))
     assert not budget.exceeded
     return forms
 
 
-@pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 9) for m in range(1, upper_bound(n) + 2)]
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 9)
+                                 for m in range(1, _reference_bound(n) + 2)]
                          + [(9, 8), (9, 9), (9, 10)])
 def test_star_break_keeps_every_class(n, m):
     assert enumerate_extremal(n, m) == _unbroken_classes(n, m)
@@ -155,9 +175,13 @@ def test_parallel_node_limit_holds():
     assert not report.exhausted
 
 
-def test_parallel_budget_gone_at_entry_hands_out_no_task():
-    # no pool task starts, and no push is counted that was not made; handing
-    # out n=40's tasks regardless takes seconds
+def test_parallel_budget_gone_at_entry_hands_out_no_task(monkeypatch):
+    # no pool task starts, no shared value is made, and no push is counted
+    # that was not made; handing out n=40's tasks regardless takes seconds
+    def no_value(*args, **kwargs):
+        raise AssertionError("shared value made")
+
+    monkeypatch.setattr(search.mp, "Value", no_value)
     report = max_sail_free(40, SearchOptions(time_limit=0, worker_count=2))
     assert (report.exhausted, report.nodes_explored) == (False, 0)
     assert report.elapsed < 5
@@ -183,12 +207,12 @@ def test_budget_gone_at_entry_builds_no_table(monkeypatch, workers):
 
 def test_budget_spends_each_batch_once():
     budget = _Budget(3000, None)
-    _max_kernel(10, (0,), 4, 1, upper_bound(10), budget)
+    _max_kernel(10, (0,), 4, 1, _reference_bound(10), budget)
     # two batches of pushes, each counted once; the check before the next
     # push found the budget gone
     assert (budget.local, budget.exceeded) == (2 * _CHECK_EVERY, True)
     spent = _Budget(0, None)
-    assert _max_kernel(8, (0,), 3, 1, upper_bound(8), spent) == (0, None)
+    assert _max_kernel(8, (0,), 3, 1, _reference_bound(8), spent) == (0, None)
     assert (spent.local, spent.exceeded) == (0, True)
 
 
@@ -213,11 +237,16 @@ def test_node_limited_runs_at_large_n_are_pinned():
 
 
 def test_node_limit_reports_not_exhausted():
-    # n=8 cannot reach its degree bound, so the run cannot end early by proof
-    report = max_sail_free(8, SearchOptions(node_limit=5))
-    assert report.nodes_explored <= 5 + 2048  # budget is checked in batches
-    assert report.max_edges < 7
+    # n=19 cannot reach its bound 38 (the value is 37), so the run cannot
+    # end early by proof
+    report = max_sail_free(19, SearchOptions(node_limit=5))
+    assert report.nodes_explored <= 5 + _CHECK_EVERY  # budget is checked in batches
+    assert report.max_edges < upper_bound(19)
     assert not report.exhausted
+    # n=8 reaches its bound 6, which proves the value though the budget cut
+    # the call
+    report = max_sail_free(8, SearchOptions(node_limit=5))
+    assert (report.max_edges, report.nodes_explored, report.exhausted) == (6, 12, True)
 
 
 def test_rejects_out_of_range_n():
@@ -355,7 +384,7 @@ def _leaf_sequence(dfs, n, runs, bound, enumerate_m=None):
 
 
 def _unbroken_runs(n, roots):
-    return [((r,), (n - 1) // 2, upper_bound(n)) for r in roots]
+    return [((r,), (n - 1) // 2, _reference_bound(n)) for r in roots]
 
 
 def test_kernel_reaches_the_push_first_leaves():
