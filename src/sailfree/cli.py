@@ -235,15 +235,15 @@ def cmd_table(args) -> int:
     rows = table(args.start, args.end, _search_opts(args))
     if args.json:
         print(json.dumps([{
-            "n": r.n, "max_edges": r.max_edges, "exhausted": r.exhausted,
+            "n": r.n, "max_edges": r.max_edges, "exhausted": r.exhausted, "proof": r.proof,
             "formula": r.formula, "formula_label": r.formula_label, "verdict": r.verdict,
         } for r in rows], indent=2))
     else:
-        print(f"{'n':>3} {'max':>4} {'exhausted':>9}  {'formula':>8}  verdict")
+        print(f"{'n':>3} {'max':>4} {'exhausted':>9} {'proof':>6}  {'formula':>8}  verdict")
         for r in rows:
             formula = "-" if r.formula is None else str(r.formula)
             label = f" [{r.formula_label}]"
-            print(f"{r.n:>3} {r.max_edges:>4} {str(r.exhausted):>9}  {formula:>8}  "
+            print(f"{r.n:>3} {r.max_edges:>4} {str(r.exhausted):>9} {r.proof:>6}  {formula:>8}  "
                   f"{r.verdict}{label}")
     if any(not r.exhausted for r in rows):
         return EXIT_LIMIT

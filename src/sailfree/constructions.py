@@ -488,6 +488,18 @@ def build_resolved(spec: ConstructionSpec):
     return _BUILDERS[spec.variant](spec, rng)
 
 
+def formula_construction(n: int) -> Optional[LinearTripleSystem]:
+    """The sail-free system of formula size on n vertices, or None where the
+    formula does not reach (n = 3k+1 with k < 3): the transversal design at
+    n = 3k, the truncated design at 3k+2 and c1 at 3k+1."""
+    k, residue = divmod(n, 3)
+    if residue == 0:
+        return transversal_design(k)
+    if residue == 2:
+        return truncated_design(k)
+    return build(ConstructionSpec("c1", k)) if k >= 3 else None
+
+
 # --- parameter sweeps -----------------------------------------------------
 
 

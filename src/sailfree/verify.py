@@ -19,7 +19,7 @@ from typing import Optional
 from .core import MAX_VERTICES, LinearTripleSystem, deficiency
 from .errors import RoleShapeMismatch
 from .sails import SailWitness, find_sail_fast
-from .search import SearchOptions, SearchReport, _remaining, max_sail_free
+from .search import SearchOptions, SearchReport, _remaining, max_sail_free, upper_bound
 
 # role -> (n - 3k, edge count as a function of k, its label, the role's own
 # condition on (max degree, sorted degrees, k, total deficiency))
@@ -126,13 +126,18 @@ class TableRow:
     formula: Optional[int]
     formula_label: str
     verdict: str
+    proof: str  # "bound", "search" or "-" (table's docstring)
 
 
 def table(n_min: int, n_max: int, opts: SearchOptions = SearchOptions()) -> list[TableRow]:
     """One search per n with the applicable formula and a match verdict.
 
-    The node and time limits of opts cover all the searches: each row gets
-    what the earlier rows left of them.
+    Each row says how its value was proven: "bound" when it reaches
+    upper_bound(n), so that counting alone proves it (the search starts
+    from a construction of that size at every n up to 64 but 7 and 3k+1
+    with k >= 6), "search" when the search was exhausted below the bound,
+    and "-" when it is not proven.  The node and time limits of opts cover
+    all the searches: each row gets what the earlier rows left of them.
     """
     if not 4 <= n_min <= n_max <= MAX_VERTICES:
         raise ValueError(f"table needs 4 <= from <= to <= {MAX_VERTICES}, got {n_min}..{n_max}")
@@ -149,5 +154,9 @@ def table(n_min: int, n_max: int, opts: SearchOptions = SearchOptions()) -> list
             verdict = "match"
         else:
             verdict = "MISMATCH"
-        rows.append(TableRow(n, report.max_edges, report.exhausted, value, label, verdict))
+        if report.max_edges == upper_bound(n):
+            proof = "bound"
+        else:
+            proof = "search" if report.exhausted else "-"
+        rows.append(TableRow(n, report.max_edges, report.exhausted, value, label, verdict, proof))
     return rows

@@ -195,14 +195,18 @@ def test_verify_report_wrong_size_fails_role():
     assert rep.role_pass is False
 
 
-def test_table_rows():
+def test_table_rows(monkeypatch):
     rows = table(4, 6)
-    assert [(r.n, r.max_edges, r.verdict) for r in rows] == [
-        (4, 1, "no formula"),
-        (5, 2, "match"),
-        (6, 4, "match"),
+    assert [(r.n, r.max_edges, r.verdict, r.proof) for r in rows] == [
+        (4, 1, "no formula", "bound"),
+        (5, 2, "match", "bound"),
+        (6, 4, "match", "bound"),
     ]
     assert all(r.exhausted for r in rows)
+    # a row the search proves below the bound, and one it does not prove
+    monkeypatch.setattr(verify, "upper_bound", lambda n: 100)
+    assert [r.proof for r in table(5, 5)] == ["search"]
+    assert [r.proof for r in table(19, 19, SearchOptions(time_limit=0))] == ["-"]
     with pytest.raises(ValueError):
         table(3, 5)
 
@@ -223,14 +227,15 @@ def test_table_limits_cover_all_rows(monkeypatch):
         assert (opts.node_limit, opts.time_limit) == (nodes, seconds)
         nodes -= report.nodes_explored
         seconds -= report.elapsed
-    assert [r.nodes_explored for _, r in seen] == [2, 2, 12]  # n = 6, 7, 8
+    # n = 6, 7, 8: only n=7 is not proven at its start
+    assert [r.nodes_explored for _, r in seen] == [0, 2, 0]
 
 
 def test_table_matches_the_paper_to_15():
     # every value proven; n=13 = 17 is the paper's k^2+1 case at k=4
     rows = table(4, 15)
     assert [r.n for r in rows] == list(range(4, 16))
-    assert all(r.exhausted for r in rows)
+    assert all(r.exhausted and r.proof == "bound" for r in rows)
     assert {r.n for r in rows if r.verdict != "match"} == {4, 7}
     assert [r.max_edges for r in rows] == [1, 2, 4, 4, 6, 9, 10, 12, 16, 17, 20, 25]
 
@@ -314,9 +319,12 @@ def test_cli_search_and_json(capsys):
 
 def test_cli_search_limit_exit_code(capsys):
     # n=19 needs a full exploration (its bound 38 is not attained), so a
-    # tiny node budget must surface as exit code 3
+    # tiny node budget must surface as exit code 3; the best is c1's 37
     assert run_cli("search", "--n", "19", "--node-limit", "3") == 3
-    # n=8 reaches its bound 6 in 12 pushes: proven, though past the limit
+    assert "size 37 (not exhausted)" in capsys.readouterr().out
+    # n=7 reaches its bound 4 in 2 pushes: proven, though past the limit
+    assert run_cli("search", "--n", "7", "--node-limit", "1") == 0
+    # n=8 starts at its bound 6: proven with no push
     assert run_cli("search", "--n", "8", "--node-limit", "3") == 0
     # a negative budget is a usage error, not an unproven maximum
     assert run_cli("search", "--n", "8", "--node-limit", "-5") == 2
@@ -347,10 +355,10 @@ def test_cli_search_enumerate_limits_cover_both_searches(monkeypatch, capsys):
         return set()
 
     monkeypatch.setattr(cli, "enumerate_extremal", record)
-    assert run_cli("search", "--n", "10", "--threads", "1", "--enumerate",
+    assert run_cli("search", "--n", "7", "--threads", "1", "--enumerate",
                    "--node-limit", "100000", "--time-limit", "60") == 0
     (opts,) = seen
-    assert opts.node_limit == 100000 - 56  # n=10 takes 56 pushes
+    assert opts.node_limit == 100000 - 2  # n=7 takes 2 pushes
     assert opts.time_limit < 60
     assert "0 isomorphism classes" in capsys.readouterr().out
 
@@ -378,6 +386,10 @@ def test_cli_table(capsys):
     assert run_cli("table", "--from", "4", "--to", "6") == 0
     out = capsys.readouterr().out
     assert "match" in out and "no formula" in out
+    assert out.splitlines()[0].split()[3] == "proof"
+    assert all(line.split()[3] == "bound" for line in out.splitlines()[1:])
+    assert run_cli("table", "--from", "4", "--to", "4", "--json") == 0
+    assert json.loads(capsys.readouterr().out)[0]["proof"] == "bound"
 
 
 def test_cli_construct_parameter_flags(tmp_path, capsys):

@@ -6,7 +6,7 @@ from sailfree import search
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
 from sailfree.errors import LimitExceeded, UnsupportedSize
-from sailfree.sails import SailGuard, find_sail_bruteforce
+from sailfree.sails import SailGuard, find_sail_bruteforce, find_sail_fast
 from sailfree.search import (
     _CHECK_EVERY,
     SearchOptions,
@@ -16,7 +16,9 @@ from sailfree.search import (
     _enum_kernel,
     _form_adder,
     _max_kernel,
+    _max_runs,
     _star_runs,
+    _start,
     _tables,
     enumerate_extremal,
     max_sail_free,
@@ -61,35 +63,72 @@ def _unbroken_max(n):
     return max(found, 1)
 
 
+def _star_search(n):
+    """The search from the star: every star run of n from vertex 0's
+    largest star, with an unlimited budget.  Returns (value, pushes).  Set
+    against max_sail_free, which proves the value by counting from the
+    construction, it cross-checks the two wherever the search finishes."""
+    budget = _Budget(None, None)
+    star = (n - 1) // 2
+    found, _ = _max_runs(n, _star_runs(n, upper_bound(n)), star, budget)
+    assert not budget.exceeded
+    return max(found, star), budget.spent
+
+
+def _proven_by_counting(n):
+    report = max_sail_free(n)
+    assert (report.exhausted, report.nodes_explored) == (True, 0), n
+    assert report.witness is _start(n)
+    return report.max_edges
+
+
 def test_small_maxima_match_known_values():
     known = {4: 1, 5: 2, 6: 4, 7: 4, 8: 6, 9: 9}
     for n, want in known.items():
         report = max_sail_free(n)
         assert report.exhausted
         assert report.max_edges == want == _unbroken_max(n), n
-        if n == 8:
-            # pins the serial traversal: order, pruning and node counting
-            assert report.nodes_explored == 12
+    # pins the serial traversal from the star: order, pruning and node
+    # counting
+    assert _star_search(8) == (6, 12) == (_proven_by_counting(8), 12)
 
 
 def test_n10_maximum_is_proven():
-    report = max_sail_free(10)
-    assert report.max_edges == 10
-    assert report.exhausted
-    # pins the serial traversal at the size of the paper's n = 3k+1 value
-    assert report.nodes_explored == 56
+    # pins the serial traversal from the star at the size of the paper's
+    # n = 3k+1 value
+    assert _star_search(10) == (10, 56) == (_proven_by_counting(10), 56)
 
 
 def test_n13_maximum_is_proven():
-    # the paper's k^2+1 at k=4, proven by a full traversal (about 1 s)
-    report = max_sail_free(13)
-    assert (report.max_edges, report.exhausted, report.nodes_explored) == (17, True, 151002)
+    # the paper's k^2+1 at k=4, proven by a full traversal from the star
+    # (about 1 s) and by counting from c1
+    assert _star_search(13) == (17, 151002) == (_proven_by_counting(13), 151002)
 
 
 @pytest.mark.nightly
 def test_n16_maximum_is_proven():
-    report = max_sail_free(16)
-    assert (report.max_edges, report.exhausted) == (26, True)
+    # the search from the star (about 3 min), against the truncated design
+    assert _star_search(16)[0] == 26 == _proven_by_counting(16)
+
+
+def test_counting_proves_every_n_the_start_reaches():
+    # the start is the construction of formula size (the largest star at
+    # n = 4 and 7); it reaches upper_bound(n) at every n but 7 and 3k+1
+    # with k >= 6, the paper's open case
+    open_case = {7} | set(range(19, 65, 3))
+    proven = set()
+    for n in range(3, 65):
+        start = _start(n)
+        value = formula_value(n)[0]
+        assert start.m == ((n - 1) // 2 if value is None else value), n
+        assert find_sail_fast(start) is None, n
+        if n <= 16:
+            assert find_sail_bruteforce(start) is None, n
+        report = max_sail_free(n, SearchOptions(time_limit=0))
+        assert report.max_edges == start.m and report.nodes_explored == 0, n
+        if report.exhausted:
+            proven.add(n)
+    assert proven == set(range(3, 65)) - open_case  # 45 values
 
 
 def _unbroken_classes(n, m):
@@ -133,6 +172,9 @@ def test_max_independent_of_worker_count():
 def test_target_stops_early_without_proof():
     report = max_sail_free(8, SearchOptions(target_edges=5))
     assert report.max_edges >= 5
+    # the start's first edges meet the target: a subset of a linear
+    # sail-free system is one too
+    assert report.witness.edges == _start(8).edges[:5]
     if report.max_edges < upper_bound(8):
         assert not report.exhausted
     # the first edge alone meets a target of 1: the run ends on entry
@@ -141,8 +183,11 @@ def test_target_stops_early_without_proof():
 
 
 def test_parallel_maximum_stops_at_the_proof():
-    # n=9 meets its upper bound; every task ends once the shared best does
-    assert max_sail_free(9, SearchOptions(worker_count=2)).nodes_explored < 2000
+    # n=7 meets its upper bound 4 from the star; every task ends once the
+    # shared best does
+    assert max_sail_free(7, SearchOptions(worker_count=2)).nodes_explored < 2000
+    # n=9 meets it at the start: no task runs
+    assert max_sail_free(9, SearchOptions(worker_count=2)).nodes_explored == 0
     seq = max_sail_free(10, SearchOptions(target_edges=9))
     par = max_sail_free(10, SearchOptions(target_edges=9, worker_count=2))
     assert (par.max_edges, par.exhausted) == (seq.max_edges, seq.exhausted) == (9, False)
@@ -156,21 +201,22 @@ def test_parallel_time_limit_keeps_the_pool_witness(monkeypatch):
         raise AssertionError("serial witness pass under a time limit")
 
     monkeypatch.setattr(search, "_max_runs", no_witness_pass)
-    for n, want in ((11, 12), (13, 17)):
-        limit = 120.0
-        report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=limit))
-        assert (report.max_edges, report.exhausted) == (want, True), n
-        w = report.witness
-        assert w.n == n and w.m == want
-        assert find_sail_bruteforce(w) is None
-        assert report.elapsed < limit / 4, n
+    # n=7 is the one n the start does not prove in which the pool finishes
+    n, want, limit = 7, 4, 120.0
+    report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=limit))
+    assert (report.max_edges, report.exhausted) == (want, True)
+    w = report.witness
+    assert w.n == n and w.m == want
+    assert find_sail_bruteforce(w) is None
+    assert report.elapsed < limit / 4
 
 
 def test_parallel_node_limit_holds():
     # each worker overshoots by less than one batch; a task that starts
-    # after the budget is gone pushes nothing.  n=13 takes ~151,000 pushes.
+    # after the budget is gone pushes nothing.  n=19's search does not end
+    # in reach of the limit.
     workers, limit = 2, 1000
-    report = max_sail_free(13, SearchOptions(node_limit=limit, worker_count=workers))
+    report = max_sail_free(19, SearchOptions(node_limit=limit, worker_count=workers))
     assert report.nodes_explored <= limit + _CHECK_EVERY * workers
     assert not report.exhausted
 
@@ -185,8 +231,30 @@ def test_parallel_budget_gone_at_entry_hands_out_no_task(monkeypatch):
     report = max_sail_free(40, SearchOptions(time_limit=0, worker_count=2))
     assert (report.exhausted, report.nodes_explored) == (False, 0)
     assert report.elapsed < 5
-    report = max_sail_free(12, SearchOptions(worker_count=3, node_limit=0))
+    report = max_sail_free(19, SearchOptions(worker_count=3, node_limit=0))
     assert (report.exhausted, report.nodes_explored) == (False, 0)
+
+
+def test_a_start_holding_a_sail_raises(monkeypatch, sail7):
+    # a construction with a sail is a bug, never a silent fallback
+    monkeypatch.setattr(search, "formula_construction", lambda n: sail7)
+    with pytest.raises(RuntimeError, match="holds a sail"):
+        _start.__wrapped__(7)
+
+
+def test_parallel_call_proven_at_entry_starts_no_pool(monkeypatch):
+    # the truncated design reaches n=16's bound: no table, shared value or
+    # pool is made, and the witness is the cached construction
+    def made(*args, **kwargs):
+        raise AssertionError("table, shared value or pool made")
+
+    monkeypatch.setattr(search, "_tables", made)
+    monkeypatch.setattr(search.mp, "Value", made)
+    monkeypatch.setattr(search.mp, "Pool", made)
+    report = max_sail_free(16, SearchOptions(worker_count=2))
+    assert (report.max_edges, report.exhausted, report.nodes_explored) == (26, True, 0)
+    assert report.witness is _start(16)
+    assert report.elapsed < 0.1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -229,8 +297,9 @@ def test_search_options_reject_invalid_values(bad):
 
 
 def test_node_limited_runs_at_large_n_are_pinned():
-    # candidate masks span 9,880 triples at n=40 and 41,664 at n=64
-    for n, limit, best, nodes in ((40, 20000, 70, 20060), (64, 3000, 33, 4096)):
+    # candidate masks span 9,880 triples at n=40 and 41,664 at n=64; the best
+    # starts at c1's k^2+1
+    for n, limit, best, nodes in ((40, 20000, 170, 20480), (64, 3000, 442, 4096)):
         report = max_sail_free(n, SearchOptions(node_limit=limit))
         assert (report.max_edges, report.nodes_explored) == (best, nodes), n
         assert not report.exhausted
@@ -243,10 +312,13 @@ def test_node_limit_reports_not_exhausted():
     assert report.nodes_explored <= 5 + _CHECK_EVERY  # budget is checked in batches
     assert report.max_edges < upper_bound(19)
     assert not report.exhausted
-    # n=8 reaches its bound 6, which proves the value though the budget cut
-    # the call
+    # n=7 reaches its bound 4 in 2 pushes, which proves the value though the
+    # budget cut the call
+    report = max_sail_free(7, SearchOptions(node_limit=1))
+    assert (report.max_edges, report.nodes_explored, report.exhausted) == (4, 2, True)
+    # n=8 starts at its bound 6: proven with no push
     report = max_sail_free(8, SearchOptions(node_limit=5))
-    assert (report.max_edges, report.nodes_explored, report.exhausted) == (6, 12, True)
+    assert (report.max_edges, report.nodes_explored, report.exhausted) == (6, 0, True)
 
 
 def test_rejects_out_of_range_n():
@@ -297,11 +369,12 @@ def test_enumerate_parallel_agrees():
 
 
 def test_report_fields_consistent():
-    r = max_sail_free(6)
-    assert r.n == 6
+    # n=7 is the one n below 19 that the start does not prove
+    r = max_sail_free(7)
+    assert r.n == 7
     assert r.nodes_explored >= 1
     assert r.elapsed >= 0
-    assert r.max_edges <= upper_bound(6)
+    assert r.max_edges <= upper_bound(7)
 
 
 def _push_first_dfs(n, prefix, delta, bound, stop_at, budget, leaf):
