@@ -16,9 +16,9 @@ bound.
 
 The count is evaluated before the guard is touched, so a child that
 cannot exceed the bound costs no push.  The bound never falls during a
-run (leaf policies return at least the old bound, and the shared best
-only rises), so a test that fails for one child fails for every later
-child of the same node.  The two steps:
+run (leaf policies return at least the old bound), so a test that fails
+for one child fails for every later child of the same node.  The two
+steps:
 
 1. Count cut on the loop.  A child's candidates are a subset of the
    candidates after it, so once s plus the number of candidates not yet
@@ -92,24 +92,41 @@ cross-check of that counting.
 
 A run ends once its bound reaches stop_at (the most edges a system below
 its prefix can have, or target_edges), where every open branch is
-prunable.  This is tested on entry, at a leaf, and when the pool's shared
-best raises the bound; the node loop gains no test.  Enumeration holds
-the bound at m-1, so a run whose stop_at is below m ends on entry.  Each
-run pops its prefix when it ends, so the guard operations of consecutive
-runs form one push/pop stream.
+prunable.  This is tested on entry and at a leaf; the node loop gains no
+test.  Enumeration holds the bound at m-1, so a run whose stop_at is
+below m ends on entry.  Each run pops its prefix when it ends, so the
+guard operations of consecutive runs form one push/pop stream.
 
 Every call has one budget, its node limit and the deadline fixed at call
-entry; its serial runs, pool tasks and witness pass all spend from it.
+entry; its serial runs and pool tasks all spend from it.
 It alone counts the call's pushes and records whether it cut the call.
 
 Parallel mode runs one task per (root, t), t a candidate of a run's root,
 for every run in one process pool.  From Delta = 3 a star and one more
 edge can hold a sail (the edge is a crossbar of three star edges); the
 guard rejects such a task's prefix and the task returns empty.  The pool
-takes tasks lazily in run order, hands out none once the budget is gone,
-and skips a task once the shared best has reached its run's stop_at (the
-task would end on entry).  Workers spend through a shared node count and,
-for the maximum, share a monotone best.
+takes tasks lazily in run order and hands out none once the budget is
+gone.  Workers share the node count and nothing else: a maximum task
+starts from the call's start, its bound rises only with its own finds,
+and the results come back in task order.
+
+Witness.  The tasks come in serial order (runs by Delta descending, then
+the root's candidates by index).  A task's bound stays below its largest
+size F_i until it reaches its first F_i-edge system, which it returns.
+Let F = max F_i and j the first task with F_j = F: every earlier task
+has F_i < F and holds no F-edge system, so task j's is the first in
+serial order, which the serial search, its bound also below F until
+then, returns too.  max returns the first maximal item.
+
+Cost.  A traversal whose bound is never below the start visits a subset
+of the nodes at bound = start, the refutation the call makes when the
+start is the maximum, so no call costs more than that refutation; at
+n = 19, 22, ... no task beats the start, and the traversal is that one.
+A pool started below the maximum pays more, as each task climbs on its
+own: from vertex 0's largest star two workers take 73, 576 and 4,969
+pushes at n = 8, 9, 10 (serially 12, 19, 56) but 1.2M at n = 11 (42)
+and 10.0M at n = 12 (139).  max_sail_free does so only at n = 7 (9
+pushes, 2 serially).
 """
 
 from __future__ import annotations
@@ -118,6 +135,7 @@ import multiprocessing as mp
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
+from itertools import takewhile
 from math import comb, inf
 from typing import Callable, Optional
 
@@ -152,8 +170,8 @@ class SearchReport:
 
     nodes_explored is the count the call's budget kept of its guard
     pushes: the children that passed the count test and were handed to
-    the guard, accepted or not, in serial runs, pool tasks and the witness
-    pass.  Children the count rules out before the push are not counted.
+    the guard, accepted or not, in serial runs and pool tasks.  Children
+    the count rules out before the push are not counted.
     It is 0 when the starting system (module docstring) already reaches
     the stop, as at every n up to 64 but 7 and 3k+1 with k >= 6; the
     counts the module docstring gives for n = 8, 10, 13 and 16 are those
@@ -324,7 +342,7 @@ class _Budget:
 _CHECK_EVERY = 2048
 
 
-def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=None):
+def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
     """Branch and bound below the given triple-index prefix, at degree cap delta.
 
     Every node with more edges than the bound goes to leaf(stack), which
@@ -333,10 +351,9 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
     candidate count cannot take it past the bound.  A bound of stop_at
     ends the run: it is the proof threshold, at which every other branch
     is prunable.  stop_at must be at most n*delta//3, which makes a
-    capacity test needless (module docstring).
-    shared_best, a value shared by pool workers, raises the bound whenever
-    another worker has done better.  A prefix the guard rejects ends the
-    run on entry.
+    capacity test needless (module docstring).  A prefix the guard rejects
+    ends the run on entry, as does a bound at stop_at; only a run that
+    goes on builds the index masks.
 
     Every push below the prefix is spent from the budget, which is checked
     on entry, before any table is built, and before the next push once
@@ -352,7 +369,6 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             break
         pushed += 1
     stack = guard._stack
-    through, at = _index_masks(n)
     last = delta - 1  # a vertex at this degree is full after one more edge
     unchecked = 0
     done = False
@@ -360,9 +376,6 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
     def rec(cands):
         nonlocal bound, unchecked, done
         size = len(stack)
-        if shared_best is not None and shared_best.value > bound:
-            bound = shared_best.value
-            done = bound >= stop_at
         if size > bound:
             bound = leaf(stack)
             done = bound >= stop_at
@@ -403,6 +416,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
             guard._pop_fast()
 
     if pushed == len(prefix) and bound < stop_at:
+        through, at = _index_masks(n)
         cands, deg = _candidates(n, prefix, delta)
         rec(cands)
         budget.spend(unchecked)
@@ -410,25 +424,21 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable, shared_best=N
         guard._pop_fast()
 
 
-def _max_kernel(n, prefix, delta, bound, stop_at, budget, shared_best=None):
+def _max_kernel(n, prefix, delta, bound, stop_at, budget):
     """The DFS with the maximum's leaf policy: keep the largest system.
 
     Returns (found_best, found_edges); found_best is 0 and found_edges None
-    when nothing beat the starting bound.
+    when nothing beat the starting bound; else found_edges is the first
+    system of size found_best in DFS preorder.
     """
     found, found_edges = 0, None
 
     def leaf(stack):
         nonlocal found, found_edges
-        size = len(stack)
-        found, found_edges = size, list(stack)
-        if shared_best is not None:
-            with shared_best.get_lock():
-                if shared_best.value < size:
-                    shared_best.value = size
-        return size
+        found, found_edges = len(stack), list(stack)
+        return found
 
-    _dfs(n, prefix, delta, bound, stop_at, budget, leaf, shared_best)
+    _dfs(n, prefix, delta, bound, stop_at, budget, leaf)
     return found, found_edges
 
 
@@ -495,14 +505,9 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     the node limit also counts; children pruned by the count before their
     push are not counted (the counts the module docstring gives for n = 8,
     10, 13 and 16 are those of the search from the star).  With several
-    workers and no time limit, a clean run that beats the start takes its
-    witness from one more serial pass that stops at the first system of
-    that size, so the witness is the serial one; that pass spends from the
-    call's budget, and its pushes are counted too, but a cut pass keeps the
-    pool's witness and proof.  Under a time limit the pass is not run,
-    since it can take far longer than the pool and the deadline would cut
-    it: the witness is then the pool's, and which system of that size it
-    is depends on task completion order.
+    workers the pool's tasks share only the budget, and a clean call
+    returns the serial witness, the first largest result in task order
+    (module docstring).
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -527,16 +532,8 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
         # only runs that can beat the start are split into tasks, so a call
         # that the start proves starts no pool
         clean, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
-                                   budget, _max_task, best)
+                                   budget, partial(_max_task, best))
         found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
-        if clean and found > best and opts.time_limit is None:
-            # Which equal-size result the pool keeps depends on completion
-            # order.  The serial witness is the first found-edge system in
-            # DFS preorder, which a pass that stops at found edges returns.
-            again, again_edges = _max_runs(
-                n, [(p, d, min(s, found)) for p, d, s in runs], found - 1, budget)
-            if again == found:
-                found_edges = again_edges
     if found > best:
         best, witness = found, LinearTripleSystem(n, tuple(found_edges))
     else:
@@ -586,14 +583,14 @@ def enumerate_extremal(n: int, m: int,
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(n, budget, shared_best):
-    _WORKER_STATE.update(n=n, budget=budget, best=shared_best)
+def _pool_init(n, budget):
+    _WORKER_STATE.update(n=n, budget=budget)
 
 
-def _max_task(task):
+def _max_task(bound, task):
     prefix, delta, stop_at = task
-    n, budget, shared_best = _WORKER_STATE["n"], _WORKER_STATE["budget"], _WORKER_STATE["best"]
-    result = _max_kernel(n, prefix, delta, shared_best.value, stop_at, budget, shared_best)
+    n, budget = _WORKER_STATE["n"], _WORKER_STATE["budget"]
+    result = _max_kernel(n, prefix, delta, bound, stop_at, budget)
     return not budget.exceeded, result
 
 
@@ -614,30 +611,23 @@ def _depth2_prefixes(n, runs):
                 yield prefix + (t,), delta, stop_at
 
 
-def _run_pool(n, runs, workers, budget, task, best=None):
+def _run_pool(n, runs, workers, budget, task):
     """Run task over the depth-2 prefixes below the runs in a process pool
-    that spends from the call's budget through a shared node counter.
-    For the maximum, best starts the shared best that the workers raise.
+    whose workers share only the call's budget, through a shared node
+    counter.
 
-    Tasks are handed out lazily, under the rules in the module docstring;
-    each returns (clean, result), clean read from its worker's copy of the
-    budget, which alone sees a cut there.  Returns (clean, results),
-    results in completion order.  No pool starts when there is no run or
-    the budget is already gone.
+    Tasks are handed out lazily in run order, none once the budget is
+    gone; each returns (clean, result), clean read from its worker's copy
+    of the budget, which alone sees a cut there.  Returns (clean, results),
+    results in task order, in which the first largest maximum result is the
+    serial witness (module docstring).  No pool starts when there is no
+    run or the budget is already gone.
     """
     if not runs or budget.spend(0):
         return not budget.exceeded, []
     budget.counter = mp.Value("q", budget.local, lock=True)
-    shared_best = None if best is None else mp.Value("q", best, lock=True)
-
-    def tasks():
-        for prefix, delta, stop_at in _depth2_prefixes(n, runs):
-            if budget.spend(0):
-                return
-            if shared_best is None or shared_best.value < stop_at:
-                yield prefix, delta, stop_at
-
-    with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget, shared_best)) as pool:
-        outcomes = list(pool.imap_unordered(task, tasks()))
+    tasks = takewhile(lambda _: not budget.spend(0), _depth2_prefixes(n, runs))
+    with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget)) as pool:
+        outcomes = list(pool.imap(task, tasks))
     clean = not budget.exceeded and all(ok for ok, _ in outcomes)
     return clean, [result for _, result in outcomes]

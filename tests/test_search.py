@@ -1,4 +1,5 @@
 import multiprocessing as mp
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,8 @@ from sailfree.search import (
     _form_adder,
     _max_kernel,
     _max_runs,
+    _max_task,
+    _run_pool,
     _star_runs,
     _start,
     _tables,
@@ -183,9 +186,12 @@ def test_target_stops_early_without_proof():
 
 
 def test_parallel_maximum_stops_at_the_proof():
-    # n=7 meets its upper bound 4 from the star; every task ends once the
-    # shared best does
-    assert max_sail_free(7, SearchOptions(worker_count=2)).nodes_explored < 2000
+    # n=7 meets its upper bound 4 from the star; every task ends once its
+    # own bound does.  Workers share no bound, so an uncut call's pushes do
+    # not depend on task completion order.
+    counts = {max_sail_free(7, SearchOptions(worker_count=2)).nodes_explored for _ in range(5)}
+    assert counts == {9}
+    assert max(counts) < 2000
     # n=9 meets it at the start: no task runs
     assert max_sail_free(9, SearchOptions(worker_count=2)).nodes_explored == 0
     seq = max_sail_free(10, SearchOptions(target_edges=9))
@@ -195,20 +201,34 @@ def test_parallel_maximum_stops_at_the_proof():
 
 
 def test_parallel_time_limit_keeps_the_pool_witness(monkeypatch):
-    # under a time limit the serial witness pass is skipped, so a run that
-    # the pool finishes early returns early with the pool's witness
-    def no_witness_pass(*args):
-        raise AssertionError("serial witness pass under a time limit")
+    # the pool's first largest result in task order is the serial witness,
+    # with or without a time limit, and no serial pass runs after the pool
+    n, limit = 7, 120.0
+    want = max_sail_free(n).witness
+    assert want.m == 4 and find_sail_bruteforce(want) is None
 
-    monkeypatch.setattr(search, "_max_runs", no_witness_pass)
-    # n=7 is the one n the start does not prove in which the pool finishes
-    n, want, limit = 7, 4, 120.0
-    report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=limit))
-    assert (report.max_edges, report.exhausted) == (want, True)
-    w = report.witness
-    assert w.n == n and w.m == want
-    assert find_sail_bruteforce(w) is None
-    assert report.elapsed < limit / 4
+    def no_serial_pass(*args):
+        raise AssertionError("serial pass after the pool")
+
+    monkeypatch.setattr(search, "_max_runs", no_serial_pass)
+    for time_limit in [None] + [limit] * 10:
+        report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=time_limit))
+        assert (report.witness, report.exhausted) == (want, True)
+        assert report.elapsed < limit / 4
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_pool_from_the_star_returns_the_serial_witness(n):
+    # started from vertex 0's largest star, many tasks beat their start, so
+    # the first largest result in task order is what picks the witness.
+    # Above n=10 each task's climb from the star costs far more than the
+    # serial search (module docstring).
+    star, runs = (n - 1) // 2, _star_runs(n, upper_bound(n))
+    want = _max_runs(n, runs, star, _Budget(None, None))
+    clean, results = _run_pool(n, [r for r in runs if r[2] > star], 2, _Budget(None, None),
+                               partial(_max_task, star))
+    assert clean and sum(found > star for found, _ in results) > 1
+    assert max(results, key=lambda r: r[0]) == want
 
 
 def test_parallel_node_limit_holds():
@@ -255,6 +275,18 @@ def test_parallel_call_proven_at_entry_starts_no_pool(monkeypatch):
     assert (report.max_edges, report.exhausted, report.nodes_explored) == (26, True, 0)
     assert report.witness is _start(16)
     assert report.elapsed < 0.1
+
+
+def test_runs_that_end_on_entry_build_no_index_masks(monkeypatch):
+    # a run whose bound is already at its stop pushes its prefix and ends;
+    # the index masks are built only for a run that goes on
+    def no_masks(n):
+        raise AssertionError(f"_index_masks({n}) built")
+
+    monkeypatch.setattr(search, "_index_masks", no_masks)
+    report = max_sail_free(16)
+    assert (report.max_edges, report.exhausted, report.nodes_explored) == (26, True, 0)
+    assert enumerate_extremal(9, 10) == set()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
