@@ -85,10 +85,10 @@ truncated designs at 3k+2, c1 at 3k+1 with k >= 3), or at vertex 0's
 largest star where no formula exists (n = 4, 7); only runs whose stop
 exceeds it are searched.  Its size equals upper_bound(n) for every n in
 3..64 but 7 and 3k+1 with k >= 6, so there the value is proven by
-counting, with no push.  The search from the star alone takes 12 pushes
-at n = 8, 56 at n = 10, 151,002 at n = 13 and about 29M (~170 s on one
-core of a 2-core x86-64 VM) at n = 16; the tests run it as the
-cross-check of that counting.
+counting, with no push.  The search from the star alone, its best
+carried from run to run, takes 12 pushes at n = 8, 56 at n = 10, 151,002
+at n = 13 and about 29M (~170 s on one core of a 2-core x86-64 VM) at
+n = 16; the tests run it as the cross-check of that counting.
 
 A run ends once its bound reaches stop_at (the most edges a system below
 its prefix can have, or target_edges), where every open branch is
@@ -98,35 +98,40 @@ below m ends on entry.  Each run pops its prefix when it ends, so the
 guard operations of consecutive runs form one push/pop stream.
 
 Every call has one budget, its node limit and the deadline fixed at call
-entry; its serial runs and pool tasks all spend from it.
-It alone counts the call's pushes and records whether it cut the call.
+entry; all its tasks spend from it.  It alone counts the call's pushes
+and records whether it cut the call.
 
-Parallel mode runs one task per (root, t), t a candidate of a run's root,
-for every run in one process pool.  From Delta = 3 a star and one more
-edge can hold a sail (the edge is a crossbar of three star edges); the
-guard rejects such a task's prefix and the task returns empty.  The pool
-takes tasks lazily in run order and hands out none once the budget is
-gone.  Workers share the node count and nothing else: a maximum task
-starts from the call's start, its bound rises only with its own finds,
-and the results come back in task order.
+Tasks.  Both searches run their tasks through _run_tasks and combine the
+results with one expression for any worker count.  With one worker each
+run is a task; with more, each (root, t), t a candidate of a run's root,
+is one, run in a process pool that takes them lazily in run order, none
+once the budget is gone, and whose workers share only the node count.
+From Delta = 3 a star and one more edge can hold a sail (a crossbar of
+three star edges); the guard rejects such a task's prefix and it returns
+empty.  Every maximum task starts from the call's start and raises its
+bound only with its own finds.  Witness: the tasks come in serial order
+(runs by Delta descending, then the root's candidates by index), and a
+task's bound stays below its largest size F_i until it reaches its first
+F_i-edge system, which it returns.  With F = max F_i, no task before the
+first with F_i = F holds an F-edge system, so the first largest result
+is the first F-edge system in serial order, as in a search that carries
+its best from run to run.
 
-Witness.  The tasks come in serial order (runs by Delta descending, then
-the root's candidates by index).  A task's bound stays below its largest
-size F_i until it reaches its first F_i-edge system, which it returns.
-Let F = max F_i and j the first task with F_j = F: every earlier task
-has F_i < F and holds no F-edge system, so task j's is the first in
-serial order, which the serial search, its bound also below F until
-then, returns too.  max returns the first maximal item.
+Cost.  A carried best differs from the start only after a run that beats
+it.  max_sail_free starts below its maximum only at n = 7, where one run
+beats it and the run after ends on entry (2 pushes, 9 with two workers);
+at n = 19, 22, ... no run beats the start (arXiv 2005.07918), and the
+traversal is the refutation at bound = start; every other n in 3..64 is
+proven at entry.  From a private start below the maximum each task
+climbs on its own.  Pushes from vertex 0's largest star (one worker at
+n = 11: 5-8 s on one core of a 2-core x86-64 VM):
 
-Cost.  A traversal whose bound is never below the start visits a subset
-of the nodes at bound = start, the refutation the call makes when the
-start is the maximum, so no call costs more than that refutation; at
-n = 19, 22, ... no task beats the start, and the traversal is that one.
-A pool started below the maximum pays more, as each task climbs on its
-own: from vertex 0's largest star two workers take 73, 576 and 4,969
-pushes at n = 8, 9, 10 (serially 12, 19, 56) but 1.2M at n = 11 (42)
-and 10.0M at n = 12 (139).  max_sail_free does so only at n = 7 (9
-pushes, 2 serially).
+    n   one worker   two workers   best carried from run to run
+    8           16            73                             12
+    9           31           576                             19
+   10           62         4,969                             56
+   11    1,166,382          1.2M                             42
+   12        1,369         10.0M                            139
 """
 
 from __future__ import annotations
@@ -170,12 +175,12 @@ class SearchReport:
 
     nodes_explored is the count the call's budget kept of its guard
     pushes: the children that passed the count test and were handed to
-    the guard, accepted or not, in serial runs and pool tasks.  Children
-    the count rules out before the push are not counted.
+    the guard, accepted or not, in all the call's tasks.  Children the
+    count rules out before the push are not counted.
     It is 0 when the starting system (module docstring) already reaches
     the stop, as at every n up to 64 but 7 and 3k+1 with k >= 6; the
     counts the module docstring gives for n = 8, 10, 13 and 16 are those
-    of the search from the star.
+    of the search from the star, its best carried from run to run.
     """
 
     n: int
@@ -457,17 +462,6 @@ def _enum_kernel(n, prefix, delta, m, stop_at, budget, emit: Callable):
     _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
 
 
-def _max_runs(n, runs, bound, budget):
-    """_max_kernel over (prefix, delta, stop_at) runs in order, each run
-    starting from the best so far.  Returns what _max_kernel returns."""
-    found, found_edges = 0, None
-    for prefix, delta, stop_at in runs:
-        got, got_edges = _max_kernel(n, prefix, delta, max(bound, found), stop_at, budget)
-        if got:
-            found, found_edges = got, got_edges
-    return found, found_edges
-
-
 def _remaining(opts: SearchOptions, report: SearchReport) -> SearchOptions:
     """opts less the nodes and time report spent, each limit floored at 0:
     what a later search of the same command may still spend."""
@@ -476,13 +470,6 @@ def _remaining(opts: SearchOptions, report: SearchReport) -> SearchOptions:
     if opts.time_limit is not None:
         opts = replace(opts, time_limit=max(0.0, opts.time_limit - report.elapsed))
     return opts
-
-
-def _form_adder(n, forms: set):
-    """An emit callback adding each system's canonical form to forms."""
-    def emit(edges):
-        forms.add(canonical_form(LinearTripleSystem(n, edges)))
-    return emit
 
 
 def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport:
@@ -504,10 +491,10 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     nodes_explored is the guard pushes the call's budget counted, which
     the node limit also counts; children pruned by the count before their
     push are not counted (the counts the module docstring gives for n = 8,
-    10, 13 and 16 are those of the search from the star).  With several
-    workers the pool's tasks share only the budget, and a clean call
-    returns the serial witness, the first largest result in task order
-    (module docstring).
+    10, 13 and 16 are those of the search from the star).  Every run or
+    pool task starts from the start, and the witness is the first largest
+    result in task order: the first system of that size in serial order,
+    for any worker count and with or without a limit (module docstring).
     """
     if not 3 <= n <= MAX_VERTICES:
         raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
@@ -520,20 +507,16 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
 
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else start + opts.time_limit)
-    if opts.worker_count == 1:
-        # A run that cannot beat the start still enters the kernel, which
-        # pushes its star prefix and ends on entry: the benchmark's per-layer
-        # prove-par run divides by the serial prove workload's guard pushes
-        # (bench/run.py, pool.node_ratio), and a call that pushed nothing
-        # would leave it no divisor.
-        found, found_edges = _max_runs(n, runs, best, budget)
-        clean = not budget.exceeded
-    else:
-        # only runs that can beat the start are split into tasks, so a call
-        # that the start proves starts no pool
-        clean, results = _run_pool(n, [r for r in runs if r[2] > best], opts.worker_count,
-                                   budget, partial(_max_task, best))
-        found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
+    if opts.worker_count > 1:
+        # Only runs that can beat the start are split into pool tasks, so a
+        # call that the start proves starts no pool.  A serial call still
+        # enters every run, which pushes its star prefix and ends on entry:
+        # the benchmark's per-layer prove-par run divides by the serial
+        # prove workload's guard pushes (bench/run.py, pool.node_ratio), and
+        # a call that pushed nothing would leave it no divisor.
+        runs = [r for r in runs if r[2] > best]
+    clean, results = _run_tasks(n, runs, opts.worker_count, budget, partial(_max_task, best))
+    found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
     if found > best:
         best, witness = found, LinearTripleSystem(n, tuple(found_edges))
     else:
@@ -547,7 +530,9 @@ def enumerate_extremal(n: int, m: int,
     """All sail-free linear systems with exactly m edges, up to isomorphism.
 
     The search runs under the star symmetry break (module docstring),
-    which keeps at least one labeled member of every class.
+    which keeps at least one labeled member of every class.  Each run or
+    pool task returns the canonical forms of its m-edge systems, and the
+    classes are their union.
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """
@@ -558,27 +543,38 @@ def enumerate_extremal(n: int, m: int,
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else time.monotonic() + opts.time_limit)
     runs = [r for r in _star_runs(n, inf) if len(r[0]) <= m]
-    forms: set[CanonicalForm] = set()
-    emit = _form_adder(n, forms)
-
-    if opts.worker_count == 1:
-        for prefix, delta, stop_at in runs:
-            _enum_kernel(n, prefix, delta, m, stop_at, budget, emit)
-        clean = not budget.exceeded
-    else:
-        clean, results = _run_pool(n, [r for r in runs if len(r[0]) < m <= r[2]],
-                                   opts.worker_count, budget, partial(_enum_task, m))
-        forms.update(*results)
-        if clean and m <= (n - 1) // 2:
-            # the root of the run at degree m is an m-edge system, which no
-            # depth-2 task covers
-            emit(_star_edges(m))
+    pooled = opts.worker_count > 1
+    if pooled:
+        # as in max_sail_free, only a pooled call skips the runs with no
+        # task to split: those whose stop is below m, and the run at degree
+        # m, whose root, its one m-edge system, no depth-2 task covers
+        # (added below)
+        runs = [r for r in runs if len(r[0]) < m <= r[2]]
+    clean, results = _run_tasks(n, runs, opts.worker_count, budget, partial(_enum_task, m))
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
+    forms = set().union(*results)
+    if pooled and m <= (n - 1) // 2:
+        forms.add(canonical_form(LinearTripleSystem(n, _star_edges(m))))
     return forms
 
 
-# --- process pool ---------------------------------------------------------
+# --- tasks and the process pool -------------------------------------------
+
+def _max_task(bound, n, budget, run):
+    """_max_kernel on one (prefix, delta, stop_at) run, from the given bound."""
+    prefix, delta, stop_at = run
+    return _max_kernel(n, prefix, delta, bound, stop_at, budget)
+
+
+def _enum_task(m, n, budget, run):
+    """The canonical forms of the m-edge systems below one run."""
+    prefix, delta, stop_at = run
+    forms = set()
+    _enum_kernel(n, prefix, delta, m, stop_at, budget,
+                 lambda edges: forms.add(canonical_form(LinearTripleSystem(n, edges))))
+    return forms
+
 
 _WORKER_STATE: dict = {}
 
@@ -587,18 +583,12 @@ def _pool_init(n, budget):
     _WORKER_STATE.update(n=n, budget=budget)
 
 
-def _max_task(bound, task):
-    prefix, delta, stop_at = task
-    n, budget = _WORKER_STATE["n"], _WORKER_STATE["budget"]
-    result = _max_kernel(n, prefix, delta, bound, stop_at, budget)
+def _in_worker(task, run):
+    """task in a pool worker, with the worker's n and copy of the budget.
+    Returns (clean, result): only this copy sees a cut in this worker."""
+    budget = _WORKER_STATE["budget"]
+    result = task(_WORKER_STATE["n"], budget, run)
     return not budget.exceeded, result
-
-
-def _enum_task(m, task):
-    prefix, delta, stop_at = task
-    n, budget, forms = _WORKER_STATE["n"], _WORKER_STATE["budget"], set()
-    _enum_kernel(n, prefix, delta, m, stop_at, budget, _form_adder(n, forms))
-    return not budget.exceeded, forms
 
 
 def _depth2_prefixes(n, runs):
@@ -611,23 +601,23 @@ def _depth2_prefixes(n, runs):
                 yield prefix + (t,), delta, stop_at
 
 
-def _run_pool(n, runs, workers, budget, task):
-    """Run task over the depth-2 prefixes below the runs in a process pool
-    whose workers share only the call's budget, through a shared node
-    counter.
-
-    Tasks are handed out lazily in run order, none once the budget is
-    gone; each returns (clean, result), clean read from its worker's copy
-    of the budget, which alone sees a cut there.  Returns (clean, results),
-    results in task order, in which the first largest maximum result is the
-    serial witness (module docstring).  No pool starts when there is no
-    run or the budget is already gone.
+def _run_tasks(n, runs, workers, budget, task):
+    """Run task(n, budget, run) over the (prefix, delta, stop_at) runs;
+    returns (clean, results), results in task order, clean when the
+    budget cut no task.  One worker runs each run in this process, with n
+    and the budget as arguments, so calls in threads do not meet; more run
+    the depth-2 prefixes below the runs in a process pool (module
+    docstring, _in_worker).  Nothing runs when there is no run or no
+    budget left.
     """
     if not runs or budget.spend(0):
         return not budget.exceeded, []
+    if workers == 1:
+        results = [task(n, budget, run) for run in runs]
+        return not budget.exceeded, results
     budget.counter = mp.Value("q", budget.local, lock=True)
     tasks = takewhile(lambda _: not budget.spend(0), _depth2_prefixes(n, runs))
     with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget)) as pool:
-        outcomes = list(pool.imap(task, tasks))
+        outcomes = list(pool.imap(partial(_in_worker, task), tasks))
     clean = not budget.exceeded and all(ok for ok, _ in outcomes)
     return clean, [result for _, result in outcomes]

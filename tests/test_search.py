@@ -1,4 +1,7 @@
 import multiprocessing as mp
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from sailfree import search
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
+from sailfree.core import LinearTripleSystem
 from sailfree.errors import LimitExceeded, UnsupportedSize
 from sailfree.sails import SailGuard, find_sail_bruteforce, find_sail_fast
 from sailfree.search import (
@@ -15,11 +19,9 @@ from sailfree.search import (
     _depth2_prefixes,
     _dfs,
     _enum_kernel,
-    _form_adder,
     _max_kernel,
-    _max_runs,
     _max_task,
-    _run_pool,
+    _run_tasks,
     _star_runs,
     _start,
     _tables,
@@ -66,14 +68,26 @@ def _unbroken_max(n):
     return max(found, 1)
 
 
+def _running_best(n, runs, bound, budget):
+    """_max_kernel over the runs in order, each run starting from the best
+    so far.  Returns (found, edges) as _max_kernel does."""
+    best = (0, None)
+    for prefix, delta, stop_at in runs:
+        found = _max_kernel(n, prefix, delta, max(bound, best[0]), stop_at, budget)
+        if found[0]:
+            best = found
+    return best
+
+
 def _star_search(n):
     """The search from the star: every star run of n from vertex 0's
-    largest star, with an unlimited budget.  Returns (value, pushes).  Set
-    against max_sail_free, which proves the value by counting from the
-    construction, it cross-checks the two wherever the search finishes."""
+    largest star, the best carried from run to run, with an unlimited
+    budget.  Returns (value, pushes).  Set against max_sail_free, which
+    proves the value by counting from the construction, it cross-checks
+    the two wherever the search finishes."""
     budget = _Budget(None, None)
     star = (n - 1) // 2
-    found, _ = _max_runs(n, _star_runs(n, upper_bound(n)), star, budget)
+    found, _ = _running_best(n, _star_runs(n, upper_bound(n)), star, budget)
     assert not budget.exceeded
     return max(found, star), budget.spent
 
@@ -137,7 +151,11 @@ def test_counting_proves_every_n_the_start_reaches():
 def _unbroken_classes(n, m):
     """Enumeration without the star break, as in _unbroken_max."""
     forms, budget = set(), _Budget(None, None)
-    _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget, _form_adder(n, forms))
+
+    def emit(edges):
+        forms.add(canonical_form(LinearTripleSystem(n, edges)))
+
+    _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget, emit)
     assert not budget.exceeded
     return forms
 
@@ -207,28 +225,70 @@ def test_parallel_time_limit_keeps_the_pool_witness(monkeypatch):
     want = max_sail_free(n).witness
     assert want.m == 4 and find_sail_bruteforce(want) is None
 
-    def no_serial_pass(*args):
-        raise AssertionError("serial pass after the pool")
+    parent, kernel = os.getpid(), search._max_kernel
 
-    monkeypatch.setattr(search, "_max_runs", no_serial_pass)
+    def in_workers_only(*args):
+        if os.getpid() == parent:
+            raise AssertionError("serial pass after the pool")
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_max_kernel", in_workers_only)
     for time_limit in [None] + [limit] * 10:
         report = max_sail_free(n, SearchOptions(worker_count=2, time_limit=time_limit))
         assert (report.witness, report.exhausted) == (want, True)
         assert report.elapsed < limit / 4
 
 
-@pytest.mark.parametrize("n", [8, 9, 10])
-def test_pool_from_the_star_returns_the_serial_witness(n):
-    # started from vertex 0's largest star, many tasks beat their start, so
-    # the first largest result in task order is what picks the witness.
-    # Above n=10 each task's climb from the star costs far more than the
-    # serial search (module docstring).
+@pytest.mark.parametrize("n,workers", [
+    pytest.param(n, workers, id=f"{n}" if workers > 1 else f"{n}-serial")
+    for n in (8, 9, 10) for workers in (2, 1)])
+def test_pool_from_the_star_returns_the_serial_witness(n, workers):
+    # started from vertex 0's largest star, more than one task beats its
+    # start, so the first largest result in task order is what picks the
+    # witness; at n=10 with one worker it is the second run's (its runs
+    # find 8, 10 and 6).  Above n=10 each task's climb from the star costs
+    # far more than the running best; the serial pushes are pinned at the
+    # module docstring's figures.
     star, runs = (n - 1) // 2, _star_runs(n, upper_bound(n))
-    want = _max_runs(n, runs, star, _Budget(None, None))
-    clean, results = _run_pool(n, [r for r in runs if r[2] > star], 2, _Budget(None, None),
-                               partial(_max_task, star))
+    want = _running_best(n, runs, star, _Budget(None, None))
+    budget = _Budget(None, None)
+    clean, results = _run_tasks(n, [r for r in runs if r[2] > star], workers, budget,
+                                partial(_max_task, star))
     assert clean and sum(found > star for found, _ in results) > 1
     assert max(results, key=lambda r: r[0]) == want
+    if workers == 1:
+        assert budget.spent == {8: 16, 9: 31, 10: 62}[n]
+
+
+def test_serial_calls_read_no_module_state(monkeypatch):
+    # a serial call passes n and its budget to its tasks: calls in two
+    # threads do not meet, and neither touches the pool's worker state.
+    # Each thread repeats its call for about a quarter second, switching
+    # often, so the two threads' calls interleave.
+    calls = ((partial(max_sail_free, 19, SearchOptions(node_limit=20_000)), 3),
+             (partial(enumerate_extremal, 8, 6), 30))
+    want = [[call()] * times for call, times in calls]
+    assert want[0][0].nodes_explored > 0 and want[1][0]
+
+    def pooled(*args, **kwargs):
+        raise AssertionError("pool state used by a serial call")
+
+    monkeypatch.setattr(search, "_pool_init", pooled)
+    monkeypatch.setattr(search.mp, "Pool", pooled)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(lambda call, times: [call() for _ in range(times)], *c)
+                       for c in calls]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    def key(report):
+        return report.max_edges, report.witness, report.nodes_explored, report.exhausted
+
+    assert [list(map(key, got[0])), got[1]] == [list(map(key, want[0])), want[1]]
 
 
 def test_parallel_node_limit_holds():
