@@ -12,13 +12,19 @@ Vertex layout, fixed so outputs are reproducible:
   a -> 3k-2, b -> 3k-1, c -> 3k.
 * small family (c3, c4), n = 10:
   x_1..x_3 -> 0..2, y_1..y_3 -> 3..5, a -> 6, b -> 7, c -> 8, v -> 9.
-* transversal design, n = 3k: groups 0..k-1, k..2k-1, 2k..3k-1.
+* transversal design, n = 3k: groups 0..k-1, k..2k-1, 2k..3k-1, with
+  the edge (i, k+j, 2k+L[i][j]) for a Latin square L.
+* truncated design, n = 3k+2: the design on 3k+3 vertices less vertex 3k+2.
 
 A seed randomizes every free choice that the parameters leave open (the
 2-factor, special edges, colorings of short cycles, matching extraction
 order, Latin square).  Every such choice follows one rule, `_pick`: an
 explicitly supplied parameter wins, else a draw from the seeded generator,
-else a fixed default.
+else a fixed default (for the designs, the cyclic square).  All six
+builders sit in one table, and each returns its system with the choices
+it resolved, the designs' Latin square included (the truncated design
+records the square of the design it cuts down), so any output can be
+rebuilt from its details.
 """
 
 from __future__ import annotations
@@ -448,30 +454,41 @@ def _check_latin(latin, k: int) -> None:
             raise InvalidLatinSquare(f"column {j} is not a permutation")
 
 
-def transversal_design(k: int, latin=None, seed: Optional[int] = None) -> LinearTripleSystem:
-    """T(3k, 3): groups X, Y, Z of size k; every cross-group pair covered once."""
+def _build_td(spec: ConstructionSpec, rng: Optional[random.Random]):
+    k = spec.k
     if k < 1:
         raise KTooSmall(f"transversal design needs k >= 1, got {k}")
-    rng = random.Random(seed) if seed is not None else None
-    latin = _pick(latin, rng, lambda r: _random_latin(k, r), _cyclic_latin(k))
+    latin = _pick(spec.latin, rng, lambda r: _random_latin(k, r), _cyclic_latin(k))
     _check_latin(latin, k)
     edges = [(i, k + j, 2 * k + latin[i][j]) for i in range(k) for j in range(k)]
-    return make_system(3 * k, edges)
+    return make_system(3 * k, edges), {"variant": "td", "k": k, "latin": [list(r) for r in latin]}
+
+
+def _build_truncated(spec: ConstructionSpec, rng: Optional[random.Random]):
+    # the (k+1) design draws from rng exactly as a seeded td build of k+1 does
+    k = spec.k
+    if k < 1:
+        raise KTooSmall(f"truncated design needs k >= 1, got {k}")
+    td, details = _build_td(ConstructionSpec("td", k + 1), rng)
+    gone = 3 * k + 2
+    kept = [e for e in td.edges if gone not in e]
+    return make_system(3 * k + 2, kept), {**details, "variant": "truncated", "k": k}
+
+
+def transversal_design(k: int, latin=None, seed: Optional[int] = None) -> LinearTripleSystem:
+    """T(3k, 3): groups X, Y, Z of size k; every cross-group pair covered once."""
+    return build(ConstructionSpec("td", k, latin=latin, seed=seed))
 
 
 def truncated_design(k: int, seed: Optional[int] = None) -> LinearTripleSystem:
     """Transversal design on 3k+3 vertices with the last vertex deleted."""
-    if k < 1:
-        raise KTooSmall(f"truncated design needs k >= 1, got {k}")
-    td = transversal_design(k + 1, seed=seed)
-    gone = 3 * k + 2
-    kept = [e for e in td.edges if gone not in e]
-    return make_system(3 * k + 2, kept)
+    return build(ConstructionSpec("truncated", k, seed=seed))
 
 
 # --- dispatch -------------------------------------------------------------
 
-_BUILDERS = {"c1": _build_c1, "c2": _build_c2, "c3": _build_c3, "c4": _build_c4}
+_BUILDERS = {"c1": _build_c1, "c2": _build_c2, "c3": _build_c3, "c4": _build_c4,
+             "td": _build_td, "truncated": _build_truncated}
 
 
 def build(spec: ConstructionSpec) -> LinearTripleSystem:
@@ -480,10 +497,6 @@ def build(spec: ConstructionSpec) -> LinearTripleSystem:
 
 def build_resolved(spec: ConstructionSpec):
     """Build a system and return it with the fully resolved parameter choices."""
-    if spec.variant == "td":
-        return transversal_design(spec.k, spec.latin, spec.seed), {"variant": "td", "k": spec.k}
-    if spec.variant == "truncated":
-        return truncated_design(spec.k, spec.seed), {"variant": "truncated", "k": spec.k}
     rng = random.Random(spec.seed) if spec.seed is not None else None
     return _BUILDERS[spec.variant](spec, rng)
 
@@ -493,11 +506,9 @@ def formula_construction(n: int) -> Optional[LinearTripleSystem]:
     formula does not reach (n = 3k+1 with k < 3): the transversal design at
     n = 3k, the truncated design at 3k+2 and c1 at 3k+1."""
     k, residue = divmod(n, 3)
-    if residue == 0:
-        return transversal_design(k)
-    if residue == 2:
-        return truncated_design(k)
-    return build(ConstructionSpec("c1", k)) if k >= 3 else None
+    if residue == 1 and k < 3:
+        return None
+    return build(ConstructionSpec(("td", "c1", "truncated")[residue], k))
 
 
 # --- parameter sweeps -----------------------------------------------------

@@ -60,11 +60,8 @@ def find_sail_fast(system: LinearTripleSystem) -> Optional[SailWitness]:
     """
     for v in range(system.n):
         nmask = system._nbr[v]
-        vbit = 1 << v
         for g in system.edges:
             gm = g.mask
-            if gm & vbit:
-                continue
             if gm & nmask == gm:
                 return SailWitness(v, _fans(system.edges, v, g), g)
     return None
@@ -117,6 +114,10 @@ class SailGuard:
 
     Single-owner state: each search worker keeps its own guard.  Pushes are
     O(m) bit-set subset tests; pops restore the incremental state exactly.
+    Invariant: no vertex is in its own neighborhood mask (_nbr[v] lacks bit
+    v, here and in LinearTripleSystem), so an edge inside N(v) avoids v,
+    and a vertex in N(u) for every u of a pushed edge t lies outside t;
+    neither the guard's tests nor find_sail_fast check either separately.
     The search kernel drives the same push logic through _push_fast with
     precomputed masks; push() wraps it and looks up rejection details.
     """
@@ -153,15 +154,14 @@ class SailGuard:
         if pm & self._pairs:
             return 1
         # (i) a new crossbar: some apex outside t already sees all of t.
-        if nbr[t[0]] & nbr[t[1]] & nbr[t[2]] & ~tm:
+        if nbr[t[0]] & nbr[t[1]] & nbr[t[2]]:
             return 2
         # (ii) a new fan: some existing edge falls inside an updated N(v).
         masks = self._masks
         for v in t:
-            grown = nbr[v] | (tm & ~(1 << v))
-            vbit = 1 << v
+            outside = ~(nbr[v] | (tm & ~(1 << v)))
             for hm in masks:
-                if hm & vbit == 0 and hm & ~grown == 0:
+                if not hm & outside:
                     return 2
         for v in t:
             nbr[v] |= tm & ~(1 << v)

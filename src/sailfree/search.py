@@ -7,12 +7,12 @@ each accepted edge set is visited exactly once as its sorted edge list.
 The DFS holds a bound and hands every node larger than it to a leaf
 policy, which returns the new bound: the maximum search records the
 system and raises the bound to its size, so the search goes on above it;
-enumeration of m-edge systems emits the system and holds the bound at
-m-1, so no system grows past m edges.  Every run has a degree cap Delta:
-no vertex may lie in more than Delta edges.  Besides the run stops below,
-the one prune is the candidate count: a child is pruned when its edges
-and the pair-compatible candidate triples left to it cannot exceed the
-bound.
+enumeration of m-edge systems adds the system's canonical form to its
+set and holds the bound at m-1, so no system grows past m edges.  Every
+run has a degree cap Delta: no vertex may lie in more than Delta edges.
+Besides the run stops below, the one prune is the candidate count: a
+child is pruned when its edges and the pair-compatible candidate triples
+left to it cannot exceed the bound.
 
 The count is evaluated before the guard is touched, so a child that
 cannot exceed the bound costs no push.  The bound never falls during a
@@ -447,19 +447,23 @@ def _max_kernel(n, prefix, delta, bound, stop_at, budget):
     return found, found_edges
 
 
-def _enum_kernel(n, prefix, delta, m, stop_at, budget, emit: Callable):
-    """The DFS with enumeration's leaf policy: emit every m-edge system.
+def _enum_kernel(n, prefix, delta, m, stop_at, budget):
+    """The DFS with enumeration's leaf policy: the set of canonical forms
+    of every m-edge system.
 
     The bound stays at m-1, so every m-edge system reaches the leaf and
     none is extended.  stop_at is the most edges a system below the prefix
     can have: below m the run ends on entry, and otherwise it is never
     reached.
     """
+    forms = set()
+
     def leaf(stack):
-        emit(tuple(stack))
+        forms.add(canonical_form(LinearTripleSystem(n, tuple(stack))))
         return m - 1
 
     _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
+    return forms
 
 
 def _remaining(opts: SearchOptions, report: SearchReport) -> SearchOptions:
@@ -568,12 +572,9 @@ def _max_task(bound, n, budget, run):
 
 
 def _enum_task(m, n, budget, run):
-    """The canonical forms of the m-edge systems below one run."""
+    """_enum_kernel on one (prefix, delta, stop_at) run, for m edges."""
     prefix, delta, stop_at = run
-    forms = set()
-    _enum_kernel(n, prefix, delta, m, stop_at, budget,
-                 lambda edges: forms.add(canonical_form(LinearTripleSystem(n, edges))))
-    return forms
+    return _enum_kernel(n, prefix, delta, m, stop_at, budget)
 
 
 _WORKER_STATE: dict = {}

@@ -84,6 +84,8 @@ def test_two_factor_cycles_partition_vertices():
 def test_two_factor_rejects_agreement():
     with pytest.raises(DerangementViolation):
         TwoFactorSpec(3, (0, 1, 2), (0, 2, 1))
+    with pytest.raises(ValueError, match="tau is not a permutation"):
+        TwoFactorSpec(3, (0, 1, 2), (1, 1, 0))
 
 
 def test_matching_decomposition_k3():
@@ -197,6 +199,8 @@ def test_c2_defaults_k3():
 def test_c2_divisibility():
     with pytest.raises(DivisibilityViolation):
         build(ConstructionSpec("c2", 4))
+    with pytest.raises(KTooSmall):
+        build(ConstructionSpec("c2", 2))
 
 
 def test_c2_k6():
@@ -296,6 +300,8 @@ def test_spec_validation():
 def test_transversal_design_k1():
     td = transversal_design(1)
     assert (td.n, td.m) == (3, 1)
+    with pytest.raises(KTooSmall):
+        transversal_design(0)
 
 
 def test_transversal_design_k2_cross_pairs():
@@ -328,6 +334,8 @@ def test_transversal_design_bad_latin():
         transversal_design(2, latin=((0, 1), (0, 1)))
     with pytest.raises(InvalidLatinSquare):
         transversal_design(2, latin=((0, 0), (1, 1)))
+    with pytest.raises(InvalidLatinSquare, match="expected a 3x3 square"):
+        transversal_design(3, latin=((0, 1), (1, 0)))
 
 
 def test_truncated_design_values():
@@ -338,6 +346,8 @@ def test_truncated_design_values():
     t4 = truncated_design(4)
     assert (t4.n, t4.m) == (14, 20)
     assert_sail_free(t4)
+    with pytest.raises(KTooSmall):
+        truncated_design(0)
 
 
 # --- extremal structure (lemma suite) ---------------------------------------
@@ -413,11 +423,19 @@ _PINNED_CASES = (
 def test_seeded_outputs_are_pinned():
     # the rng draw order decides every seeded output, the inputs of the canon
     # benchmark included; the digest covers the edges and the details, whose
-    # key order `construct` prints
+    # key order `construct` prints, less the designs' Latin square, which
+    # must instead rebuild its system
     h = hashlib.sha256()
     for variant, k in _PINNED_CASES:
         for seed in [None] + list(range(20)):
             system, details = build_resolved(ConstructionSpec(variant, k, seed=seed))
+            latin = details.pop("latin", None)
+            if variant == "td":
+                assert system == transversal_design(k, latin=latin)
+            elif variant == "truncated":
+                design = transversal_design(k + 1, latin=latin)
+                gone = 3 * k + 2
+                assert system == make_system(gone, [e for e in design.edges if gone not in e])
             h.update(f"{variant} {k} {seed} {[list(e) for e in system.edges]} ".encode())
             h.update(json.dumps(details).encode() + b"\n")
     assert h.hexdigest() == (

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -193,6 +194,8 @@ def test_verify_report_sail_fails():
 def test_verify_report_wrong_size_fails_role():
     rep = verify_report(transversal_design(3), role="extremal-3k+1", k=3)
     assert rep.role_pass is False
+    with pytest.raises(RoleShapeMismatch, match="unknown role"):
+        verify_report(transversal_design(3), role="nope")
 
 
 def test_table_rows(monkeypatch):
@@ -268,6 +271,25 @@ def test_cli_construct_is_reproducible_from_header(tmp_path):
     reparsed = parse_system(text)
     again = build(ConstructionSpec("c1", 4, seed=9))
     assert reparsed == again
+    # a seeded design's header names its Latin square, which rebuilds it with
+    # no seed: through --latin for td, through the (k+1) design for truncated
+    for variant, k in (("td", 3), ("truncated", 3)):
+        assert run_cli("construct", "--type", variant, "--k", str(k), "--seed", "5",
+                       "--out", str(out)) == 0
+        text = out.read_text()
+        header = dict(line[2:].split("=", 1) for line in text.splitlines() if line[0] == "#")
+        latin = json.loads(header["latin"])
+        if variant == "td":
+            rows = ";".join(",".join(map(str, row)) for row in latin)
+            again = tmp_path / "again.txt"
+            assert run_cli("construct", "--type", "td", "--k", str(k), "--latin", rows,
+                           "--out", str(again)) == 0
+            assert parse_system(again.read_text()) == parse_system(text)
+        else:
+            design = transversal_design(k + 1, latin=latin)
+            gone = 3 * k + 2
+            kept = [e for e in design.edges if gone not in e]
+            assert parse_system(text) == make_system(gone, kept)
 
 
 def test_cli_check_sail_fixture_exits_1(tmp_path, capsys):
@@ -322,6 +344,15 @@ def test_cli_search_limit_exit_code(capsys):
     # tiny node budget must surface as exit code 3; the best is c1's 37
     assert run_cli("search", "--n", "19", "--node-limit", "3") == 3
     assert "size 37 (not exhausted)" in capsys.readouterr().out
+    # an enumeration its budget cuts: with a target, through main's
+    # LimitExceeded; without one, the maximum already ends unproven
+    assert run_cli("search", "--n", "9", "--enumerate", "--target", "8",
+                   "--node-limit", "10") == 3
+    assert "limit exceeded" in capsys.readouterr().err
+    assert run_cli("search", "--n", "19", "--enumerate", "--node-limit", "5") == 3
+    assert "maximum not proven" in capsys.readouterr().err
+    assert run_cli("table", "--from", "19", "--to", "19", "--node-limit", "5") == 3
+    capsys.readouterr()
     # n=7 reaches its bound 4 in 2 pushes: proven, though past the limit
     assert run_cli("search", "--n", "7", "--node-limit", "1") == 0
     # n=8 starts at its bound 6: proven with no push
@@ -363,7 +394,7 @@ def test_cli_search_enumerate_limits_cover_both_searches(monkeypatch, capsys):
     assert "0 isomorphism classes" in capsys.readouterr().out
 
 
-def test_cli_canon_and_iso(tmp_path, capsys):
+def test_cli_canon_and_iso(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     a.write_text(serialize_system(transversal_design(3)))
@@ -374,6 +405,11 @@ def test_cli_canon_and_iso(tmp_path, capsys):
     second = capsys.readouterr().out
     strip = lambda s: "\n".join(l for l in s.splitlines() if not l.startswith("#"))
     assert strip(first) == strip(second)
+    # "-" reads the system from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(b.read_text()))
+    assert run_cli("canon", "-", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["edges"] == [list(e) for e in parse_system(first).edges]
     assert run_cli("iso", str(a), str(b)) == 0
     capsys.readouterr()
     c = tmp_path / "c.txt"
@@ -436,6 +472,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         assert "needs two cycle positions" in capsys.readouterr().err
     assert run_cli("construct", "--type", "c3", "--k", "3", "--triangle-perms", "abc") == 2
     assert "needs two triangle permutations" in capsys.readouterr().err
+    assert run_cli("construct", "--type", "c1", "--k", "3", "--sigma", "0,1,2") == 2
+    assert "--sigma and --tau must be given together" in capsys.readouterr().err
     # no system has k < 1, as n = 3k+r >= 3
     f = tmp_path / "one.txt"
     f.write_text("4 1\n0 1 2\n")

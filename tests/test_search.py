@@ -9,7 +9,6 @@ import pytest
 from sailfree import search
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
-from sailfree.core import LinearTripleSystem
 from sailfree.errors import LimitExceeded, UnsupportedSize
 from sailfree.sails import SailGuard, find_sail_bruteforce, find_sail_fast
 from sailfree.search import (
@@ -150,12 +149,8 @@ def test_counting_proves_every_n_the_start_reaches():
 
 def _unbroken_classes(n, m):
     """Enumeration without the star break, as in _unbroken_max."""
-    forms, budget = set(), _Budget(None, None)
-
-    def emit(edges):
-        forms.add(canonical_form(LinearTripleSystem(n, edges)))
-
-    _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget, emit)
+    budget = _Budget(None, None)
+    forms = _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget)
     assert not budget.exceeded
     return forms
 
@@ -418,6 +413,11 @@ def test_rejects_out_of_range_n():
         max_sail_free(2)
     with pytest.raises(UnsupportedSize):
         enumerate_extremal(65, 3)
+    with pytest.raises(UnsupportedSize):
+        SailGuard(2)
+    # and an edge count below one
+    with pytest.raises(ValueError):
+        enumerate_extremal(5, 0)
 
 
 def test_enumerate_single_class_at_tiny_sizes():
