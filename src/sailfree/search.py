@@ -50,10 +50,11 @@ The loop takes set bits from low to high, which is lexicographic order.
 
 Every expanded node and every leaf is the same, in the same order, as
 when the cap, the count and the capacity ran on the grown stack after
-each push; only pushes of children that would never be expanded are
-dropped.  At Delta = (n-1)//2 the cap never binds: a vertex of degree
-(n-1)//2 has at most one unseen vertex left, so no pair-compatible
-triple runs through it.  The search at that cap below the first edge
+each push, except the stacks out of first-use order below a star (below);
+only pushes of children that would never be expanded are dropped.  At
+Delta = (n-1)//2 the cap never binds: a vertex of degree (n-1)//2 has at
+most one unseen vertex left, so no pair-compatible triple runs through
+it.  The search at that cap below the first edge
 {0,1,2} is the unbroken one; only the tests run it, as the oracle the
 star break is checked against.
 
@@ -79,6 +80,38 @@ is the smaller of its stop and the call's.  Every system has a maximum
 degree from 1 to (n-1)//2, so the largest stop, upper_bound, bounds the
 maximum.
 
+First-use order.  The group G that fixes vertex 0's star permutes the
+star edges, swaps the two vertices other than 0 of each star edge, and
+permutes the outside vertices 2Delta+1..n-1.  A run keeps only prefixes
+in which the star pairs {2j+1, 2j+2} that edges off the star touch, and
+the outside vertices that edges use, are initial segments, pairs 0..p-1
+and vertices 2Delta+1..w-1: an edge brings in new pairs only as p, p+1,
+... through their lower vertices, and new outside vertices only as w,
+w+1, ....  Soundness, by the lex-leader prefix lemma (Kaski and
+Ostergard, Classification Algorithms for Codes and Designs, 2006): let P
+be a prefix and g in G with sorted(g(P)) <lex P.  Every system S that
+extends P adds only edges after P, so the first |P| entries of
+sorted(g(S)) are at most those of sorted(g(P)), entry by entry, and S is
+not the least member of its G-orbit.  Every edge t out of order gives
+such a g: if t holds the upper vertex of a new pair, the swap inside that
+pair; if it holds the lower vertex of a new pair j > p but misses pair
+j-1, the swap of pairs j-1 and j; if it holds a new outside vertex v > w
+but not v-1, the transposition of v-1 and v.  Each such g moves only
+vertices of pairs and outside vertices no earlier edge off the star
+holds, and maps the star to itself, so it fixes the earlier edges; and it
+lowers exactly one vertex of t, to one that t does not hold, which lowers
+t.  G preserves the star, linearity, sails and every degree, so the least
+member of each orbit lies in the same run and none of its prefixes is
+dropped; the count prunes count candidates whatever their order, so they
+do not depend on the rule.  The maximum keeps its value, and enumeration
+a member of every class.  The masks of _first_use hold the triples in
+order at each state (p, w), and the state after each triple; a node takes
+its children from its candidates and its state's mask, one AND, while a
+child's candidates are cut from all of the node's, since a triple out of
+order at a node can come into order below it.  Only runs whose prefix
+starts with the star keep the order, so the tests' unbroken search
+below the first edge alone stays unbroken.
+
 The maximum starts its bound at the construction of formula size
 (constructions.formula_construction: transversal designs at n = 3k,
 truncated designs at 3k+2, c1 at 3k+1 with k >= 3), or at vertex 0's
@@ -86,8 +119,8 @@ largest star where no formula exists (n = 4, 7); only runs whose stop
 exceeds it are searched.  Its size equals upper_bound(n) for every n in
 3..64 but 7 and 3k+1 with k >= 6, so there the value is proven by
 counting, with no push.  The search from the star alone, its best
-carried from run to run, takes 12 pushes at n = 8, 56 at n = 10, 151,002
-at n = 13 and about 29M (~170 s on one core of a 2-core x86-64 VM) at
+carried from run to run, takes 8 pushes at n = 8, 29 at n = 10, 150,921
+at n = 13 and 28,978,147 (~100 s on one core of a 2-core x86-64 VM) at
 n = 16; the tests run it as the cross-check of that counting.
 
 A run ends once its bound reaches stop_at (the most edges a system below
@@ -103,13 +136,14 @@ and records whether it cut the call.
 
 Tasks.  Both searches run their tasks through _run_tasks and combine the
 results with one expression for any worker count.  With one worker each
-run is a task; with more, each (root, t), t a candidate of a run's root,
-is one, run in a process pool that takes them lazily in run order, none
-once the budget is gone, and whose workers share only the node count.
-From Delta = 3 a star and one more edge can hold a sail (a crossbar of
-three star edges); the guard rejects such a task's prefix and it returns
-empty.  Every maximum task starts from the call's start and raises its
-bound only with its own finds.  Witness: the tasks come in serial order
+run is a task; with more, each (root, t), t a candidate of a run's root
+in first-use order, is one, run in a process pool that takes them lazily
+in run order, none once the budget is gone, and whose workers share only
+the node count.  A task's first-use state is the one after its prefix.
+From Delta = 3 a star and one more edge can hold a sail, the crossbar
+{1,3,5} of three star edges; the guard rejects that task's prefix and it
+returns empty.  Every maximum task starts from the call's start and
+raises its bound only with its own finds.  Witness: the tasks come in serial order
 (runs by Delta descending, then the root's candidates by index), and a
 task's bound stays below its largest size F_i until it reaches its first
 F_i-edge system, which it returns.  With F = max F_i, no task before the
@@ -119,19 +153,19 @@ its best from run to run.
 
 Cost.  A carried best differs from the start only after a run that beats
 it.  max_sail_free starts below its maximum only at n = 7, where one run
-beats it and the run after ends on entry (2 pushes, 9 with two workers);
+beats it and the run after ends on entry (2 pushes, with two workers too);
 at n = 19, 22, ... no run beats the start (arXiv 2005.07918), and the
 traversal is the refutation at bound = start; every other n in 3..64 is
 proven at entry.  From a private start below the maximum each task
-climbs on its own.  Pushes from vertex 0's largest star (one worker at
-n = 11: 5-8 s on one core of a 2-core x86-64 VM):
+climbs on its own.  Pushes from vertex 0's largest star (each row well
+under a second on one core of a 2-core x86-64 VM):
 
     n   one worker   two workers   best carried from run to run
-    8           16            73                             12
-    9           31           576                             19
-   10           62         4,969                             56
-   11    1,166,382          1.2M                             42
-   12        1,369         10.0M                            139
+    8           12            11                              8
+    9           25            46                             17
+   10           35           209                             29
+   11       14,100        14,302                             28
+   12          576        11,886                             62
 """
 
 from __future__ import annotations
@@ -276,6 +310,54 @@ def _candidates(n, prefix, delta):
 
 
 @lru_cache(maxsize=None)
+def _first_use(n, delta):
+    """(allowed, top): the first-use order of the star run at degree delta
+    as masks over triple indices (module docstring).
+
+    The state (p, x) says that the star pairs {2j+1, 2j+2}, j < p, and the
+    outside vertices 2delta+1 .. 2delta+x are in use (x = w - 2delta - 1
+    in the module docstring's terms).  allowed[p][x] holds
+    the triples that bring in new pairs only as the next ones, through their
+    lower vertices, and new outside vertices only as the next ones;
+    top[i] is (p, x) just after triple i, taken componentwise with max.
+    """
+    triples = _tables(n)[0]
+    at = _index_masks(n)[1]
+    base = 2 * delta + 1
+    # a triple is out of order if it holds the upper vertex of a new pair,
+    # or the lower vertex of a new pair or a new outside vertex without the
+    # one before it
+    pair_bad = [0] * (delta + 1)
+    for j in range(delta - 1, -1, -1):
+        bad = at[2 * j + 2]
+        if j + 1 < delta:
+            bad |= at[2 * j + 3] & ~at[2 * j + 1]
+        pair_bad[j] = pair_bad[j + 1] | bad
+    out_bad = [0] * (n - base + 1)
+    for x in range(n - base - 2, -1, -1):
+        v = base + x + 1
+        out_bad[x] = out_bad[x + 1] | (at[v] & ~at[v - 1])
+    full = (1 << len(triples)) - 1
+    allowed = tuple(tuple(full & ~(pb | ob) for ob in out_bad) for pb in pair_bad)
+    top = tuple((max((v + 1) // 2 if 0 < v < base else 0 for v in t),
+                 max(v - base + 1 if v >= base else 0 for v in t)) for t in triples)
+    return allowed, top
+
+
+def _order(n, prefix, delta):
+    """(allowed, top, p, x): the first-use order and its state after the
+    prefix, for a run whose prefix starts with vertex 0's star at degree
+    delta; for any other run, one state that allows every triple."""
+    if prefix[:delta] != _star(n)[:delta]:
+        return ((-1,),), ((0, 0),) * len(_tables(n)[0]), 0, 0
+    allowed, top = _first_use(n, delta)
+    p = x = 0
+    for t in prefix[delta:]:
+        p, x = max(p, top[t][0]), max(x, top[t][1])
+    return allowed, top, p, x
+
+
+@lru_cache(maxsize=None)
 def _star(n):
     """Triple indices of {0,1,2}, {0,3,4}, ... up to degree (n-1)//2; vertex
     0's star at degree delta is the first delta of them.  The triples
@@ -378,7 +460,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
     unchecked = 0
     done = False
 
-    def rec(cands):
+    def rec(cands, p, x):
         nonlocal bound, unchecked, done
         size = len(stack)
         if size > bound:
@@ -386,10 +468,13 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
             done = bound >= stop_at
             if done or size > bound:
                 return
-        while cands:
+        kids = cands & allowed[p][x]
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            cands &= -low  # the candidates from this child on
             if done or size + cands.bit_count() <= bound:
                 return
-            low = cands & -cands
             cands ^= low
             ti = low.bit_length() - 1
             ab, ac, bc = through[ti]
@@ -414,7 +499,8 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
             deg[a] += 1
             deg[b] += 1
             deg[c] += 1
-            rec(rest)
+            q, y = top[ti]
+            rec(rest, p if p > q else q, x if x > y else y)
             deg[a] -= 1
             deg[b] -= 1
             deg[c] -= 1
@@ -423,7 +509,8 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
     if pushed == len(prefix) and bound < stop_at:
         through, at = _index_masks(n)
         cands, deg = _candidates(n, prefix, delta)
-        rec(cands)
+        allowed, top, p, x = _order(n, prefix, delta)
+        rec(cands, p, x)
         budget.spend(unchecked)
     for _ in range(pushed):
         guard._pop_fast()
@@ -596,7 +683,8 @@ def _depth2_prefixes(n, runs):
     """The (prefix + (t,), delta, stop_at) tasks, in run order, covering the
     whole tree below the runs' prefixes except the prefixes themselves."""
     for prefix, delta, stop_at in runs:
-        cands = _candidates(n, prefix, delta)[0]
+        allowed, _, p, x = _order(n, prefix, delta)
+        cands = _candidates(n, prefix, delta)[0] & allowed[p][x]
         for t in range(prefix[-1] + 1, cands.bit_length()):
             if cands >> t & 1:
                 yield prefix + (t,), delta, stop_at

@@ -106,24 +106,24 @@ def test_small_maxima_match_known_values():
         assert report.max_edges == want == _unbroken_max(n), n
     # pins the serial traversal from the star: order, pruning and node
     # counting
-    assert _star_search(8) == (6, 12) == (_proven_by_counting(8), 12)
+    assert _star_search(8) == (6, 8) == (_proven_by_counting(8), 8)
 
 
 def test_n10_maximum_is_proven():
     # pins the serial traversal from the star at the size of the paper's
     # n = 3k+1 value
-    assert _star_search(10) == (10, 56) == (_proven_by_counting(10), 56)
+    assert _star_search(10) == (10, 29) == (_proven_by_counting(10), 29)
 
 
 def test_n13_maximum_is_proven():
     # the paper's k^2+1 at k=4, proven by a full traversal from the star
     # (about 1 s) and by counting from c1
-    assert _star_search(13) == (17, 151002) == (_proven_by_counting(13), 151002)
+    assert _star_search(13) == (17, 150921) == (_proven_by_counting(13), 150921)
 
 
 @pytest.mark.nightly
 def test_n16_maximum_is_proven():
-    # the search from the star (about 3 min), against the truncated design
+    # the search from the star (about 2 min), against the truncated design
     assert _star_search(16)[0] == 26 == _proven_by_counting(16)
 
 
@@ -157,7 +157,12 @@ def _unbroken_classes(n, m):
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 9)
                                  for m in range(1, _reference_bound(n) + 2)]
-                         + [(9, 8), (9, 9), (9, 10)])
+                         + [(9, 8), (9, 9), (9, 10)]
+                         # where the unbroken search still finishes: about
+                         # 2.5 min at n=9 and 4 min at (10, 10)
+                         + [pytest.param(n, m, marks=pytest.mark.nightly)
+                            for n, m in [(9, m) for m in range(1, 8)]
+                            + [(10, m) for m in (1, 2, 3, 4, 10)]])
 def test_star_break_keeps_every_class(n, m):
     assert enumerate_extremal(n, m) == _unbroken_classes(n, m)
 
@@ -203,7 +208,7 @@ def test_parallel_maximum_stops_at_the_proof():
     # own bound does.  Workers share no bound, so an uncut call's pushes do
     # not depend on task completion order.
     counts = {max_sail_free(7, SearchOptions(worker_count=2)).nodes_explored for _ in range(5)}
-    assert counts == {9}
+    assert counts == {2}
     assert max(counts) < 2000
     # n=9 meets it at the start: no task runs
     assert max_sail_free(9, SearchOptions(worker_count=2)).nodes_explored == 0
@@ -252,7 +257,7 @@ def test_pool_from_the_star_returns_the_serial_witness(n, workers):
     assert clean and sum(found > star for found, _ in results) > 1
     assert max(results, key=lambda r: r[0]) == want
     if workers == 1:
-        assert budget.spent == {8: 16, 9: 31, 10: 62}[n]
+        assert budget.spent == {8: 12, 9: 25, 10: 35}[n]
 
 
 def test_serial_calls_read_no_module_state(monkeypatch):
@@ -439,6 +444,24 @@ def test_enumerate_agrees_without_symmetry_fix():
         assert enumerate_extremal(n, m) == _unbroken_classes(n, m)
 
 
+def test_enumerate_past_k3():
+    # 4 classes at (11, 12) and 2 at (12, 16), one of them the transversal
+    # design of order 4; each in a fraction of a second
+    assert len(enumerate_extremal(11, 12)) == 4
+    classes = enumerate_extremal(12, 16)
+    assert len(classes) == 2 and canonical_form(transversal_design(4)) in classes
+
+
+def test_unbroken_runs_build_no_first_use_order(monkeypatch):
+    # the oracles keep every stack below the first edge
+    def no_order(n, delta):
+        raise AssertionError(f"_first_use({n}, {delta}) built")
+
+    monkeypatch.setattr(search, "_first_use", no_order)
+    assert _unbroken_classes(8, 6) == {canonical_form(truncated_design(2))}
+    assert _unbroken_max(8) == 6
+
+
 def test_enumerate_truncated_design_is_extremal_class_at_8():
     classes = enumerate_extremal(8, 6)
     trunc = canonical_form(truncated_design(2))
@@ -532,13 +555,34 @@ def _push_first_dfs(n, prefix, delta, bound, stop_at, budget, leaf):
     budget.spend(unchecked)
 
 
-def _leaf_sequence(dfs, n, runs, bound, enumerate_m=None):
+def _in_first_use_order(n, delta, stack):
+    """Whether every edge after vertex 0's star at degree delta brings in
+    star pairs {2j+1, 2j+2} only as the next untouched ones, through 2j+1,
+    and outside vertices only as the next unused ones, 2delta+1 first."""
+    pairs, outside = 0, 2 * delta + 1
+    for edge in stack[delta:]:
+        for v in edge:
+            if 0 < v <= 2 * delta and (v - 1) // 2 >= pairs:
+                if v != 2 * pairs + 1:
+                    return False
+                pairs += 1
+            elif v >= outside:
+                if v != outside:
+                    return False
+                outside += 1
+    return True
+
+
+def _leaf_sequence(dfs, n, runs, bound, enumerate_m=None, ordered=False):
     """The stacks handed to the leaf policy, in order, over the given
-    (prefix, delta, stop_at) runs, each run starting from the bound."""
+    (prefix, delta, stop_at) runs, each run starting from the bound.
+    ordered keeps only those in first-use order; the bound still moves
+    with every leaf."""
     seen = []
 
     def leaf(stack):
-        seen.append(tuple(stack))
+        if not ordered or _in_first_use_order(n, delta, stack):
+            seen.append(tuple(stack))
         return enumerate_m - 1 if enumerate_m is not None else len(stack)
 
     for prefix, delta, stop_at in runs:
@@ -553,31 +597,36 @@ def _unbroken_runs(n, roots):
 
 
 def test_kernel_reaches_the_push_first_leaves():
+    # below a star the kernel reaches the reference's leaves in first-use
+    # order; below the first edge alone, all of them
     for n in range(4, 9):
-        for runs in (_unbroken_runs(n, [0]), _star_runs(n, upper_bound(n))):
-            want = _leaf_sequence(_push_first_dfs, n, runs, 1)
+        for runs, ordered in ((_unbroken_runs(n, [0]), False),
+                              (_star_runs(n, upper_bound(n)), True)):
+            want = _leaf_sequence(_push_first_dfs, n, runs, 1, ordered=ordered)
             assert _leaf_sequence(_dfs, n, runs, 1) == want, n
             assert max(map(len, want), default=1) == max_sail_free(n).max_edges
     for n, m in ((7, 4), (8, 5), (8, 6), (9, 9)):
         stars = [r for r in _star_runs(n, upper_bound(n)) if len(r[0]) <= m]
-        for runs in (_unbroken_runs(n, [0]), stars):
-            want = _leaf_sequence(_push_first_dfs, n, runs, m - 1, m)
+        for runs, ordered in ((_unbroken_runs(n, [0]), False), (stars, True)):
+            want = _leaf_sequence(_push_first_dfs, n, runs, m - 1, m, ordered)
             assert want, (n, m)
             assert _leaf_sequence(_dfs, n, runs, m - 1, m) == want, (n, m)
     runs = _unbroken_runs(7, range(len(_tables(7)[0])))
     assert _leaf_sequence(_dfs, 7, runs, 3, 4) == _leaf_sequence(_push_first_dfs, 7, runs, 3, 4)
     # pool tasks: the kernel entered below a prefix and one more edge
-    for runs, step, m in ((_unbroken_runs(9, [0]), 16, 9), (_star_runs(9, upper_bound(9)), 4, 7)):
+    for runs, step, m, ordered in ((_unbroken_runs(9, [0]), 16, 9, False),
+                                   (_star_runs(9, upper_bound(9)), 1, 7, True)):
         tasks = list(_depth2_prefixes(9, runs))[::step]
-        for args in ((1,), (m - 1, m)):
-            want = _leaf_sequence(_push_first_dfs, 9, tasks, *args)
+        for args in ((1, None), (m - 1, m)):
+            want = _leaf_sequence(_push_first_dfs, 9, tasks, *args, ordered)
             assert want, args
             assert _leaf_sequence(_dfs, 9, tasks, *args) == want, args
 
 
-def _guard_probe_prefixes(n, runs):
+def _guard_probe_prefixes(n, runs, ordered):
     """The pool's split as a guard walk: push each run's prefix, then push
-    every later pair-compatible triple through no vertex at the cap.
+    every later pair-compatible triple through no vertex at the cap, and
+    when ordered in first-use order.
 
     Returns the tasks and the tasks the guard rejected.
     """
@@ -591,6 +640,8 @@ def _guard_probe_prefixes(n, runs):
         for t in range(prefix[-1] + 1, len(triples)):
             if pmasks[t] & guard._pairs or vmasks[t] & at_cap:
                 continue
+            if ordered and not _in_first_use_order(n, delta, guard._stack + [triples[t]]):
+                continue
             task = (prefix + (t,), delta, stop_at)
             tasks.append(task)
             if guard._push_fast(triples[t], vmasks[t], pmasks[t]) == 0:
@@ -602,9 +653,9 @@ def _guard_probe_prefixes(n, runs):
 
 def test_split_matches_a_guard_probe_walk():
     for n in range(7, 13):
-        for runs in (_unbroken_runs(n, [0]), _unbroken_runs(n, range(5)),
-                     _star_runs(n, upper_bound(n))):
-            tasks, rejected = _guard_probe_prefixes(n, runs)
+        for runs, ordered in ((_unbroken_runs(n, [0]), False), (_unbroken_runs(n, range(5)), False),
+                              (_star_runs(n, upper_bound(n)), True)):
+            tasks, rejected = _guard_probe_prefixes(n, runs, ordered)
             assert list(_depth2_prefixes(n, runs)) == tasks, (n, runs)
             # from a star of three edges on, a crossbar of the star is a task
             # the guard rejects, and it returns empty
@@ -613,3 +664,9 @@ def test_split_matches_a_guard_probe_walk():
                 budget = _Budget(None, None)
                 assert _max_kernel(n, prefix, delta, 1, stop_at, budget) == (0, None)
                 assert (budget.local, budget.exceeded) == (0, False)
+    # n=19's one run above the start, at degree 6, splits into four tasks;
+    # the first is a crossbar of the star
+    triples = _tables(19)[0]
+    runs = [r for r in _star_runs(19, upper_bound(19)) if r[2] > 37]
+    assert [triples[prefix[-1]] for prefix, _, _ in _depth2_prefixes(19, runs)] == [
+        (1, 3, 5), (1, 3, 13), (1, 13, 14), (13, 14, 15)]
