@@ -74,14 +74,6 @@ def _search_opts(args) -> SearchOptions:
     )
 
 
-def _flatten(value, prefix=""):
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            yield from _flatten(sub, f"{prefix}{key}.")
-    else:
-        yield f"{prefix[:-1]}={value}"
-
-
 def cmd_construct(args) -> int:
     two_factor = None
     if args.sigma or args.tau:
@@ -108,7 +100,7 @@ def cmd_construct(args) -> int:
     if args.json:
         _emit(system_to_json(system, params=details), args.out)
     else:
-        comments = tuple(_flatten(details))
+        comments = tuple(f"{key}={value}" for key, value in details.items())
         _emit(serialize_system(system, comments), args.out)
     return EXIT_OK
 

@@ -23,8 +23,8 @@ explicitly supplied parameter wins, else a draw from the seeded generator,
 else a fixed default (for the designs, the cyclic square).  All six
 builders sit in one table, and each returns its system with the choices
 it resolved, the designs' Latin square included (the truncated design
-records the square of the design it cuts down), so any output can be
-rebuilt from its details.
+records the square of the design it cuts down), and a seeded build adds
+its seed, so any output can be rebuilt from its details.
 """
 
 from __future__ import annotations
@@ -496,19 +496,30 @@ def build(spec: ConstructionSpec) -> LinearTripleSystem:
 
 
 def build_resolved(spec: ConstructionSpec):
-    """Build a system and return it with the fully resolved parameter choices."""
-    rng = random.Random(spec.seed) if spec.seed is not None else None
-    return _BUILDERS[spec.variant](spec, rng)
+    """Build a system and return it with the fully resolved parameter
+    choices, and the seed when one is given."""
+    rng = None if spec.seed is None else random.Random(spec.seed)
+    system, details = _BUILDERS[spec.variant](spec, rng)
+    return system, details if rng is None else {**details, "seed": spec.seed}
+
+
+# The residue table, the paper's result: at n = 3k + r (r = n mod 3), the
+# variant that reaches the maximum, the maximum as a function of k, its label,
+# and the least k the row holds for (at n = 4 and 7 the maximum falls short of
+# k^2+1, so residue 1 starts at k = 3).
+FORMULAS = {
+    0: ("td", lambda k: k * k, "k^2", 0),
+    1: ("c1", lambda k: k * k + 1, "k^2+1", 3),
+    2: ("truncated", lambda k: k * k + k, "k^2+k", 0),
+}
 
 
 def formula_construction(n: int) -> Optional[LinearTripleSystem]:
-    """The sail-free system of formula size on n vertices, or None where the
-    formula does not reach (n = 3k+1 with k < 3): the transversal design at
-    n = 3k, the truncated design at 3k+2 and c1 at 3k+1."""
+    """The sail-free system of formula size on n vertices, the variant of
+    n's row in FORMULAS built with defaults, or None below the row's least k."""
     k, residue = divmod(n, 3)
-    if residue == 1 and k < 3:
-        return None
-    return build(ConstructionSpec(("td", "c1", "truncated")[residue], k))
+    variant, _, _, least_k = FORMULAS[residue]
+    return None if k < least_k else build(ConstructionSpec(variant, k))
 
 
 # --- parameter sweeps -----------------------------------------------------

@@ -23,6 +23,12 @@ from .errors import (
 MAX_VERTICES = 64
 
 
+def check_size(n: int) -> None:
+    """Raise UnsupportedSize unless 3 <= n <= MAX_VERTICES."""
+    if not 3 <= n <= MAX_VERTICES:
+        raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
+
+
 class Triple(NamedTuple):
     """A hyperedge: three distinct vertices stored in ascending order."""
 
@@ -78,8 +84,7 @@ class LinearTripleSystem:
     _nbr: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 3 <= self.n <= MAX_VERTICES:
-            raise UnsupportedSize(f"n={self.n} outside supported range 3..{MAX_VERTICES}")
+        check_size(self.n)
         # Triple.of sorts any other edge, and raises DegenerateEdge unless
         # it has three distinct vertices
         edges = tuple(sorted(e if type(e) is Triple and e.a < e.b < e.c else Triple.of(e)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .core import MAX_VERTICES, LinearTripleSystem, Triple, pair_mask
-from .errors import EmptyStack, UnsupportedSize, VertexOutOfRange
+from .core import LinearTripleSystem, Triple, check_size, pair_mask
+from .errors import EmptyStack, VertexOutOfRange
 
 LINEARITY = "linearity"
 SAIL = "sail"
@@ -125,8 +125,7 @@ class SailGuard:
     __slots__ = ("n", "_stack", "_masks", "_pmasks", "_nbr", "_pairs")
 
     def __init__(self, n: int):
-        if not 3 <= n <= MAX_VERTICES:
-            raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
+        check_size(n)
         self.n = n
         self._stack: list[Triple] = []
         self._masks: list[int] = []

@@ -113,12 +113,11 @@ starts with the star keep the order, so the tests' unbroken search
 below the first edge alone stays unbroken.
 
 The maximum starts its bound at the construction of formula size
-(constructions.formula_construction: transversal designs at n = 3k,
-truncated designs at 3k+2, c1 at 3k+1 with k >= 3), or at vertex 0's
-largest star where no formula exists (n = 4, 7); only runs whose stop
-exceeds it are searched.  Its size equals upper_bound(n) for every n in
-3..64 but 7 and 3k+1 with k >= 6, so there the value is proven by
-counting, with no push.  The search from the star alone, its best
+(constructions.formula_construction, from the residue table
+constructions.FORMULAS), or at vertex 0's largest star where no formula
+exists (n = 4, 7); only runs whose stop exceeds it are searched.  Its
+size equals upper_bound(n) for every n in 3..64 but 7 and 3k+1 with
+k >= 6, so there the value is proven by counting, with no push.  The search from the star alone, its best
 carried from run to run, takes 8 pushes at n = 8, 29 at n = 10, 150,921
 at n = 13 and 28,978,147 (~100 s on one core of a 2-core x86-64 VM) at
 n = 16; the tests run it as the cross-check of that counting.
@@ -174,14 +173,14 @@ import multiprocessing as mp
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
-from itertools import takewhile
+from itertools import combinations, takewhile
 from math import comb, inf
 from typing import Callable, Optional
 
 from .canon import CanonicalForm, canonical_form
 from .constructions import formula_construction
-from .core import MAX_VERTICES, LinearTripleSystem, Triple
-from .errors import LimitExceeded, UnsupportedSize
+from .core import LinearTripleSystem, Triple, check_size, pair_mask
+from .errors import LimitExceeded
 from .sails import SailGuard, find_sail_fast
 
 
@@ -211,10 +210,10 @@ class SearchReport:
     pushes: the children that passed the count test and were handed to
     the guard, accepted or not, in all the call's tasks.  Children the
     count rules out before the push are not counted.
-    It is 0 when the starting system (module docstring) already reaches
-    the stop, as at every n up to 64 but 7 and 3k+1 with k >= 6; the
-    counts the module docstring gives for n = 8, 10, 13 and 16 are those
-    of the search from the star, its best carried from run to run.
+    It is 0 when the starting system already reaches the stop, as at
+    most n (module docstring); the counts the module docstring gives for
+    n = 8, 10, 13 and 16 are those of the search from the star, its best
+    carried from run to run.
     """
 
     n: int
@@ -251,17 +250,10 @@ def upper_bound(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _tables(n: int):
-    """All triples on n vertices in lexicographic order, with bit masks."""
-    triples = []
-    vmasks = []
-    pmasks = []
-    for a in range(n - 2):
-        for b in range(a + 1, n - 1):
-            for c in range(b + 1, n):
-                triples.append(Triple(a, b, c))
-                vmasks.append((1 << a) | (1 << b) | (1 << c))
-                pmasks.append((1 << (a * n + b)) | (1 << (a * n + c)) | (1 << (b * n + c)))
-    return tuple(triples), tuple(vmasks), tuple(pmasks)
+    """All triples on n vertices in lexicographic order, with their vertex
+    and pair masks as the guard takes them."""
+    triples = tuple(map(Triple._make, combinations(range(n), 3)))
+    return triples, tuple(t.mask for t in triples), tuple(pair_mask(n, t) for t in triples)
 
 
 @lru_cache(maxsize=None)
@@ -288,25 +280,6 @@ def _index_masks(n: int):
     at = tuple(reduce(int.__or__, (pairs[min(u, v) * n + max(u, v)] for u in range(n) if u != v))
                for v in range(n))
     return through, at
-
-
-def _candidates(n, prefix, delta):
-    """(cands, deg): the bit mask of the triples after the prefix that share
-    no pair with it and miss every vertex the prefix brings to degree
-    delta, and the prefix's vertex degrees."""
-    triples = _tables(n)[0]
-    through, at = _index_masks(n)
-    cands = (1 << len(through)) - (1 << (prefix[-1] + 1 if prefix else 0))
-    deg = [0] * n
-    for t in prefix:
-        ab, ac, bc = through[t]
-        cands &= ~(ab | ac | bc)
-        for v in triples[t]:
-            deg[v] += 1
-    for v, d in enumerate(deg):
-        if d >= delta:
-            cands &= ~at[v]
-    return cands, deg
 
 
 @lru_cache(maxsize=None)
@@ -344,17 +317,36 @@ def _first_use(n, delta):
     return allowed, top
 
 
-def _order(n, prefix, delta):
-    """(allowed, top, p, x): the first-use order and its state after the
-    prefix, for a run whose prefix starts with vertex 0's star at degree
-    delta; for any other run, one state that allows every triple."""
-    if prefix[:delta] != _star(n)[:delta]:
-        return ((-1,),), ((0, 0),) * len(_tables(n)[0]), 0, 0
-    allowed, top = _first_use(n, delta)
+def _entry(n, prefix, delta):
+    """(cands, deg, allowed, top, p, x): a run's state after its prefix.
+
+    cands is the bit mask of the triples after the prefix that share no
+    pair with it and miss every vertex the prefix brings to degree delta,
+    and deg the prefix's vertex degrees.  allowed and top are the first-use
+    order for a run whose prefix starts with vertex 0's star at degree
+    delta, and (p, x) its state after the prefix; any other run gets one
+    state that allows every triple.
+    """
+    triples = _tables(n)[0]
+    through, at = _index_masks(n)
+    if prefix[:delta] == _star(n)[:delta]:
+        allowed, top = _first_use(n, delta)
+    else:
+        allowed, top = ((-1,),), ((0, 0),) * len(triples)
+    cands = (1 << len(triples)) - (1 << (prefix[-1] + 1 if prefix else 0))
+    deg = [0] * n
     p = x = 0
-    for t in prefix[delta:]:
-        p, x = max(p, top[t][0]), max(x, top[t][1])
-    return allowed, top, p, x
+    for i, t in enumerate(prefix):
+        ab, ac, bc = through[t]
+        cands &= ~(ab | ac | bc)
+        for v in triples[t]:
+            deg[v] += 1
+        if i >= delta:  # the star's own edges bring in no pair
+            p, x = max(p, top[t][0]), max(x, top[t][1])
+    for v, d in enumerate(deg):
+        if d >= delta:
+            cands &= ~at[v]
+    return cands, deg, allowed, top, p, x
 
 
 @lru_cache(maxsize=None)
@@ -508,8 +500,7 @@ def _dfs(n, prefix, delta, bound, stop_at, budget, leaf: Callable):
 
     if pushed == len(prefix) and bound < stop_at:
         through, at = _index_masks(n)
-        cands, deg = _candidates(n, prefix, delta)
-        allowed, top, p, x = _order(n, prefix, delta)
+        cands, deg, allowed, top, p, x = _entry(n, prefix, delta)
         rec(cands, p, x)
         budget.spend(unchecked)
     for _ in range(pushed):
@@ -573,12 +564,12 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     time limit the flag may come back False, and max_edges is only a lower
     bound.
 
-    The search starts from the construction of formula size (module
-    docstring), which reaches upper_bound(n) at every n up to 64 but 7
-    and 3k+1 with k >= 6; there the call returns proven with no counted
-    push and no pool, and the witness is the construction.  Under
-    target_edges the start is the construction's first target_edges
-    edges: a subset of a linear sail-free system is linear and sail-free.
+    The search starts from the construction of formula size.  Where it
+    reaches upper_bound(n), as at most n (module docstring), the call
+    returns proven with no counted push and no pool, and the witness is
+    the construction.  Under target_edges the start is the construction's
+    first target_edges edges: a subset of a linear sail-free system is
+    linear and sail-free.
     nodes_explored is the guard pushes the call's budget counted, which
     the node limit also counts; children pruned by the count before their
     push are not counted (the counts the module docstring gives for n = 8,
@@ -587,8 +578,7 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
     result in task order: the first system of that size in serial order,
     for any worker count and with or without a limit (module docstring).
     """
-    if not 3 <= n <= MAX_VERTICES:
-        raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
+    check_size(n)
     start = time.monotonic()
     ubn = upper_bound(n)
     stop_at = ubn if opts.target_edges is None else min(opts.target_edges, ubn)
@@ -627,8 +617,7 @@ def enumerate_extremal(n: int, m: int,
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """
-    if not 3 <= n <= MAX_VERTICES:
-        raise UnsupportedSize(f"n={n} outside supported range 3..{MAX_VERTICES}")
+    check_size(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     budget = _Budget(opts.node_limit,
@@ -683,8 +672,8 @@ def _depth2_prefixes(n, runs):
     """The (prefix + (t,), delta, stop_at) tasks, in run order, covering the
     whole tree below the runs' prefixes except the prefixes themselves."""
     for prefix, delta, stop_at in runs:
-        allowed, _, p, x = _order(n, prefix, delta)
-        cands = _candidates(n, prefix, delta)[0] & allowed[p][x]
+        cands, _, allowed, _, p, x = _entry(n, prefix, delta)
+        cands &= allowed[p][x]
         for t in range(prefix[-1] + 1, cands.bit_length()):
             if cands >> t & 1:
                 yield prefix + (t,), delta, stop_at

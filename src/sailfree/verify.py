@@ -16,18 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .constructions import FORMULAS
 from .core import MAX_VERTICES, LinearTripleSystem, deficiency
 from .errors import RoleShapeMismatch
 from .sails import SailWitness, find_sail_fast
 from .search import SearchOptions, SearchReport, _remaining, max_sail_free, upper_bound
 
-# role -> (n - 3k, edge count as a function of k, its label, the role's own
-# condition on (max degree, sorted degrees, k, total deficiency))
+# role -> (its residue n - 3k, whose row of FORMULAS gives its edge count, and
+# its own condition on (max degree, sorted degrees, k, total deficiency))
 _SHAPES = {
-    "extremal-3k+1": (1, lambda k: k * k + 1, "k^2+1",
-                      lambda top, degs, k, d: top == k and d == k - 3),
-    "td": (0, lambda k: k * k, "k^2", lambda top, degs, k, d: degs == [k] * len(degs)),
-    "truncated": (2, lambda k: k * k + k, "k^2+k", lambda top, degs, k, d: True),
+    "extremal-3k+1": (1, lambda top, degs, k, d: top == k and d == k - 3),
+    "td": (0, lambda top, degs, k, d: degs == [k] * len(degs)),
+    "truncated": (2, lambda top, degs, k, d: True),
 }
 ROLES = tuple(_SHAPES)
 
@@ -83,10 +83,10 @@ def verify_report(
     def_total = deficiency(system, range(system.n), k)
     role_pass = None
     if shape is not None:
-        residue, edge_count, _, condition = shape
+        residue, condition = shape
         role_pass = (
             system.n == 3 * k + residue
-            and system.m == edge_count(k)
+            and system.m == FORMULAS[residue][1](k)
             and witness is None
             and condition(max_deg, degs, k, def_total)
         )
@@ -105,16 +105,12 @@ def verify_report(
 
 
 def formula_value(n: int) -> tuple[Optional[int], str]:
-    """The closed-form maximum for n, with a label; None when out of range.
-
-    The role of residue n - 3k gives the value: n = 3k gives k^2, n = 3k+2
-    gives k^2+k, and n = 3k+1 gives k^2+1 for k >= 3 (the constructions
-    need k >= 3; smaller k degenerates).
-    """
+    """The closed-form maximum for n, with a label, from n's row of the
+    residue table constructions.FORMULAS; None below the row's least k."""
     k, residue = divmod(n, 3)
-    _, edge_count, label, _ = next(s for s in _SHAPES.values() if s[0] == residue)
-    if residue == 1 and k < 3:
-        return None, "formula out of range (k<3)"
+    _, edge_count, label, least_k = FORMULAS[residue]
+    if k < least_k:
+        return None, f"formula out of range (k<{least_k})"
     return edge_count(k), f"{label} (k={k})"
 
 
@@ -133,11 +129,11 @@ def table(n_min: int, n_max: int, opts: SearchOptions = SearchOptions()) -> list
     """One search per n with the applicable formula and a match verdict.
 
     Each row says how its value was proven: "bound" when it reaches
-    upper_bound(n), so that counting alone proves it (the search starts
-    from a construction of that size at every n up to 64 but 7 and 3k+1
-    with k >= 6), "search" when the search was exhausted below the bound,
-    and "-" when it is not proven.  The node and time limits of opts cover
-    all the searches: each row gets what the earlier rows left of them.
+    upper_bound(n), so that counting alone proves it (the search module's
+    docstring says at which n its start does), "search" when the search
+    was exhausted below the bound, and "-" when it is not proven.  The
+    node and time limits of opts cover all the searches: each row gets
+    what the earlier rows left of them.
     """
     if not 4 <= n_min <= n_max <= MAX_VERTICES:
         raise ValueError(f"table needs 4 <= from <= to <= {MAX_VERTICES}, got {n_min}..{n_max}")

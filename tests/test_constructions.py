@@ -292,6 +292,8 @@ def test_spec_validation():
         ConstructionSpec("c3", 4)
     with pytest.raises(ValueError):
         ConstructionSpec("nope", 3)
+    with pytest.raises(ValueError, match="two_factor.k disagrees"):
+        build(ConstructionSpec("c1", 4, two_factor=hamiltonian_two_factor(3)))
 
 
 # --- designs ----------------------------------------------------------------
@@ -424,11 +426,12 @@ def test_seeded_outputs_are_pinned():
     # the rng draw order decides every seeded output, the inputs of the canon
     # benchmark included; the digest covers the edges and the details, whose
     # key order `construct` prints, less the designs' Latin square, which
-    # must instead rebuild its system
+    # must instead rebuild its system, and the seed, recorded when given
     h = hashlib.sha256()
     for variant, k in _PINNED_CASES:
         for seed in [None] + list(range(20)):
             system, details = build_resolved(ConstructionSpec(variant, k, seed=seed))
+            assert details.pop("seed", None) == seed
             latin = details.pop("latin", None)
             if variant == "td":
                 assert system == transversal_design(k, latin=latin)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sailfree import cli, verify
+from sailfree.canon import canonical_form
 from sailfree.cli import main
 from sailfree.constructions import ConstructionSpec, build, transversal_design
 from sailfree.core import Triple, make_system
@@ -262,26 +263,38 @@ def test_cli_construct_check_roundtrip(tmp_path, capsys):
         capsys.readouterr()
 
 
+def _header(text):
+    return dict(line[2:].split("=", 1) for line in text.splitlines() if line[0] == "#")
+
+
 def test_cli_construct_is_reproducible_from_header(tmp_path):
     out = tmp_path / "c1.txt"
+    again = tmp_path / "again.txt"
     assert run_cli("construct", "--type", "c1", "--k", "4", "--seed", "9",
                    "--out", str(out)) == 0
     text = out.read_text()
     assert text.splitlines()[0].startswith("#")
     reparsed = parse_system(text)
-    again = build(ConstructionSpec("c1", 4, seed=9))
-    assert reparsed == again
+    assert reparsed == build(ConstructionSpec("c1", 4, seed=9))
+    # a seeded build's header names its seed, which rebuilds it: the c1 and
+    # c2 choices it resolves (cycle phases, colorings, matchings) have no flag
+    for variant, k, seed in (("c1", 5, 3), ("c2", 6, 4)):
+        assert run_cli("construct", "--type", variant, "--k", str(k), "--seed", str(seed),
+                       "--out", str(out)) == 0
+        text = out.read_text()
+        header = _header(text)
+        assert run_cli("construct", "--type", header["variant"], "--k", header["k"],
+                       "--seed", header["seed"], "--out", str(again)) == 0
+        assert parse_system(again.read_text()) == parse_system(text)
     # a seeded design's header names its Latin square, which rebuilds it with
     # no seed: through --latin for td, through the (k+1) design for truncated
     for variant, k in (("td", 3), ("truncated", 3)):
         assert run_cli("construct", "--type", variant, "--k", str(k), "--seed", "5",
                        "--out", str(out)) == 0
         text = out.read_text()
-        header = dict(line[2:].split("=", 1) for line in text.splitlines() if line[0] == "#")
-        latin = json.loads(header["latin"])
+        latin = json.loads(_header(text)["latin"])
         if variant == "td":
             rows = ";".join(",".join(map(str, row)) for row in latin)
-            again = tmp_path / "again.txt"
             assert run_cli("construct", "--type", "td", "--k", str(k), "--latin", rows,
                            "--out", str(again)) == 0
             assert parse_system(again.read_text()) == parse_system(text)
@@ -375,6 +388,11 @@ def test_cli_search_enumerate(capsys):
     assert run_cli("search", "--n", "6", "--target", "4", "--enumerate") == 0
     out = capsys.readouterr().out
     assert "1 isomorphism classes" in out
+    # without --target the maximum comes first; JSON lists each class's edges
+    assert run_cli("search", "--n", "6", "--enumerate", "--json") == 0
+    td = canonical_form(transversal_design(2))
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 6, "m": 4, "classes": [[list(e) for e in td.edges]]}
 
 
 def test_cli_search_enumerate_limits_cover_both_searches(monkeypatch, capsys):
@@ -426,6 +444,13 @@ def test_cli_table(capsys):
     assert all(line.split()[3] == "bound" for line in out.splitlines()[1:])
     assert run_cli("table", "--from", "4", "--to", "4", "--json") == 0
     assert json.loads(capsys.readouterr().out)[0]["proof"] == "bound"
+
+
+def test_cli_table_mismatch_exits_1(monkeypatch, capsys):
+    # a proven value that differs from its formula is a verification failure
+    monkeypatch.setattr(verify, "formula_value", lambda n: (n, "n"))
+    assert run_cli("table", "--from", "5", "--to", "6") == 1
+    assert capsys.readouterr().out.count("MISMATCH") == 2
 
 
 def test_cli_construct_parameter_flags(tmp_path, capsys):

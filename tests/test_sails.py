@@ -64,6 +64,9 @@ def test_witness_validation_rejects_malformed():
         SailWitness(0, (f1, f2, f3), Triple(0, 3, 5))  # apex inside crossbar
     with pytest.raises(ValueError):
         SailWitness(0, (f1, f1, f3), Triple(1, 3, 5))  # repeated fan
+    for crossbar in (Triple(1, 3, 7), Triple(1, 2, 5)):  # misses f3; meets f1 twice
+        with pytest.raises(ValueError, match="crossbar must meet each fan"):
+            SailWitness(0, (f1, f2, f3), crossbar)
 
 
 def test_count_sails():

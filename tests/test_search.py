@@ -9,11 +9,13 @@ import pytest
 from sailfree import search
 from sailfree.canon import canonical_form
 from sailfree.constructions import transversal_design, truncated_design
+from sailfree.core import LinearTripleSystem
 from sailfree.errors import LimitExceeded, UnsupportedSize
 from sailfree.sails import SailGuard, find_sail_bruteforce, find_sail_fast
 from sailfree.search import (
     _CHECK_EVERY,
     SearchOptions,
+    SearchReport,
     _Budget,
     _depth2_prefixes,
     _dfs,
@@ -490,6 +492,13 @@ def test_report_fields_consistent():
     assert r.nodes_explored >= 1
     assert r.elapsed >= 0
     assert r.max_edges <= upper_bound(7)
+    # a report refuses a witness of another size, and a size above the bound
+    with pytest.raises(ValueError, match="witness size disagrees"):
+        SearchReport(7, 3, r.witness, 0, 0.0, True)
+    fano = LinearTripleSystem(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
+                                  (1, 4, 6), (2, 3, 6), (2, 4, 5)))
+    with pytest.raises(ValueError, match="exceeds the theoretical upper bound"):
+        SearchReport(7, 7, fano, 0, 0.0, True)
 
 
 def _push_first_dfs(n, prefix, delta, bound, stop_at, budget, leaf):
