@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
@@ -35,8 +36,17 @@ def _default_threads() -> int:
         return 1
 
 
-def _perm(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _ints(text: str) -> tuple[int, ...]:
+    """A flag's comma-separated integers; a malformed value is argparse's usage error."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _rows(text: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(row) for row in text.split(";"))
 
 
 def _read(path: str) -> str:
@@ -80,20 +90,15 @@ def cmd_construct(args) -> int:
         if not (args.sigma and args.tau):
             print("--sigma and --tau must be given together", file=sys.stderr)
             return EXIT_USAGE
-        two_factor = TwoFactorSpec(args.k, _perm(args.sigma), _perm(args.tau))
-    latin = None
-    if args.latin:
-        latin = tuple(tuple(int(x) for x in row.split(",")) for row in args.latin.split(";"))
-    special = tuple(int(x) for x in args.special_edges.split(",")) if args.special_edges else None
-    perms = tuple(args.triangle_perms.split(",")) if args.triangle_perms else None
+        two_factor = TwoFactorSpec(args.k, args.sigma, args.tau)
     spec = ConstructionSpec(
         variant=args.type,
         k=args.k,
         two_factor=two_factor,
-        special_edge_offsets=special,
-        triangle_perms=perms,
+        special_edge_offsets=args.special_edges,
+        triangle_perms=args.triangle_perms,
         mv_variant=args.mv_variant,
-        latin=latin,
+        latin=args.latin,
         seed=args.seed,
     )
     system, details = build_resolved(spec)
@@ -105,9 +110,9 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _check_failed(args, exc, is_linear: bool) -> int:
+def _check_failed(args, exc, linear: bool) -> int:
     if args.json:
-        print(json.dumps({"is_linear": is_linear, "pass": False, "error": str(exc)}))
+        print(json.dumps({"is_linear": linear, "pass": False, "error": str(exc)}))
     else:
         print(f"FAIL: {exc}")
     return EXIT_FAIL
@@ -117,22 +122,18 @@ def cmd_check(args) -> int:
     try:
         system = _load(args.file)
     except _BadFile as exc:
-        return _check_failed(args, exc, is_linear=False)
+        return _check_failed(args, exc, linear=False)
     try:
         report = verify_report(system, role=args.role, k=args.k)
     except RoleShapeMismatch as exc:
         # the wrong shape for the role fails the role, as it does under --k
-        return _check_failed(args, exc, is_linear=True)
+        return _check_failed(args, exc, linear=True)
     if args.json:
         payload = {
             "n": report.n,
             "m": report.m,
-            "is_linear": report.is_linear,
-            "sail": None if report.sail_witness is None else {
-                "apex": report.sail_witness.apex,
-                "fans": [list(f) for f in report.sail_witness.fans],
-                "crossbar": list(report.sail_witness.crossbar),
-            },
+            "is_linear": True,
+            "sail": None if report.sail_witness is None else asdict(report.sail_witness),
             "degree_sequence": list(report.degree_sequence),
             "max_degree": report.max_degree,
             "k": report.k,
@@ -168,17 +169,16 @@ def cmd_search(args) -> int:
                 return EXIT_LIMIT
             target = report.max_edges
             opts = _remaining(opts, report)
-        forms = enumerate_extremal(args.n, target, opts)
+        forms = sorted(enumerate_extremal(args.n, target, opts), key=lambda f: f.to_bytes())
         if args.json:
             print(json.dumps({
                 "n": args.n,
                 "m": target,
-                "classes": [[list(e) for e in f.edges] for f in sorted(
-                    forms, key=lambda f: f.to_bytes())],
+                "classes": [[list(e) for e in f.edges] for f in forms],
             }, indent=2))
         else:
             print(f"n={args.n} m={target}: {len(forms)} isomorphism classes")
-            for i, f in enumerate(sorted(forms, key=lambda f: f.to_bytes())):
+            for i, f in enumerate(forms):
                 print(f"class {i}: {[tuple(e) for e in f.edges]}")
         return EXIT_OK
 
@@ -256,16 +256,16 @@ def _build_parser() -> argparse.ArgumentParser:
     limits.add_argument("--time-limit", type=float, help="seconds, for the whole command")
 
     p = sub.add_parser("construct", help="run one of the generators")
-    p.add_argument("--type", required=True,
-                   choices=["c1", "c2", "c3", "c4", "td", "truncated"])
+    p.add_argument("--type", required=True, choices=list(ConstructionSpec._ALLOWED))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--sigma", help="comma-separated permutation for the 2-factor")
-    p.add_argument("--tau", help="comma-separated permutation for the 2-factor")
-    p.add_argument("--special-edges", help="two cycle positions, e.g. 0,3")
-    p.add_argument("--triangle-perms", help="two abc-permutations, e.g. abc,bca")
+    p.add_argument("--sigma", type=_ints, help="comma-separated permutation for the 2-factor")
+    p.add_argument("--tau", type=_ints, help="comma-separated permutation for the 2-factor")
+    p.add_argument("--special-edges", type=_ints, help="two cycle positions, e.g. 0,3")
+    p.add_argument("--triangle-perms", type=lambda text: tuple(text.split(",")),
+                   help="two abc-permutations, e.g. abc,bca")
     p.add_argument("--mv-variant", type=int, choices=[1, 2, 3])
-    p.add_argument("--latin", help="rows like 0,1,2;1,2,0;2,0,1")
+    p.add_argument("--latin", type=_rows, help="rows like 0,1,2;1,2,0;2,0,1")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)

@@ -132,7 +132,12 @@ def _random_two_factor(k: int, rng: random.Random, part_sizes: Iterable[int]) ->
 
 
 def _random_parts(k: int, rng: random.Random, allowed, need_one_of=None) -> list[int]:
-    """Random composition of k from the allowed part sizes."""
+    """Random composition of k from the allowed part sizes.
+
+    No draw is stuck: for c1's parts 2..k, s = left is an option, as left
+    never reaches 1; for c2's parts 3, 6, 9 with 3 | k, s = 3 is, as left
+    stays a multiple of 3.
+    """
     allowed = sorted(set(allowed))
     smallest = allowed[0]
     while True:
@@ -140,12 +145,10 @@ def _random_parts(k: int, rng: random.Random, allowed, need_one_of=None) -> list
         left = k
         while left:
             options = [s for s in allowed if s <= left and (left - s == 0 or left - s >= smallest)]
-            if not options:
-                break
             s = rng.choice(options)
             parts.append(s)
             left -= s
-        if left == 0 and (need_one_of is None or any(p in need_one_of for p in parts)):
+        if need_one_of is None or any(p in need_one_of for p in parts):
             return parts
 
 
@@ -213,6 +216,8 @@ class ConstructionSpec:
         "td": ("latin",),
         "truncated": (),
     }
+    # the 3k+1 constructions reach k^2+1 edges from k = 3, the designs exist from k = 1
+    _LEAST_K = {"c1": 3, "c2": 3, "c3": 3, "c4": 3, "td": 1, "truncated": 1}
 
     def __post_init__(self):
         if self.variant not in self._ALLOWED:
@@ -223,6 +228,9 @@ class ConstructionSpec:
                 raise ValueError(f"parameter {name} does not apply to variant {self.variant}")
         if self.variant in ("c3", "c4") and self.k != 3:
             raise ValueError(f"variant {self.variant} is defined only for k=3")
+        least = self._LEAST_K[self.variant]
+        if self.k < least:
+            raise KTooSmall(f"construction {self.variant} needs k >= {least}, got {self.k}")
         for name, error, what in (("special_edge_offsets", BadSpecialEdges, "cycle positions"),
                                   ("triangle_perms", BadColorAssignment, "triangle permutations")):
             value = getattr(self, name)
@@ -318,8 +326,6 @@ def _assemble(variant: str, k: int, tf: TwoFactorSpec, cycles, colored, extra, r
 
 def _build_c1(spec: ConstructionSpec, rng: Optional[random.Random]):
     k = spec.k
-    if k < 3:
-        raise KTooSmall(f"construction c1 needs k >= 3, got {k}")
     tf = _resolve_two_factor(spec, rng, range(2, k + 1), need_one_of=range(3, k + 1))
     cycles = two_factor(tf)
     eligible = [i for i, c in enumerate(cycles) if len(c) >= 6]
@@ -361,8 +367,6 @@ def _build_c1(spec: ConstructionSpec, rng: Optional[random.Random]):
 
 def _build_c2(spec: ConstructionSpec, rng: Optional[random.Random], colorings=None):
     k = spec.k
-    if k < 3:
-        raise KTooSmall(f"construction c2 needs k >= 3, got {k}")
     if k % 3:
         raise DivisibilityViolation(f"construction c2 needs 3 | k, got k={k}")
     tf = _resolve_two_factor(spec, rng, [s for s in (3, 6, 9) if s <= k])
@@ -456,8 +460,6 @@ def _check_latin(latin, k: int) -> None:
 
 def _build_td(spec: ConstructionSpec, rng: Optional[random.Random]):
     k = spec.k
-    if k < 1:
-        raise KTooSmall(f"transversal design needs k >= 1, got {k}")
     latin = _pick(spec.latin, rng, lambda r: _random_latin(k, r), _cyclic_latin(k))
     _check_latin(latin, k)
     edges = [(i, k + j, 2 * k + latin[i][j]) for i in range(k) for j in range(k)]
@@ -467,8 +469,6 @@ def _build_td(spec: ConstructionSpec, rng: Optional[random.Random]):
 def _build_truncated(spec: ConstructionSpec, rng: Optional[random.Random]):
     # the (k+1) design draws from rng exactly as a seeded td build of k+1 does
     k = spec.k
-    if k < 1:
-        raise KTooSmall(f"truncated design needs k >= 1, got {k}")
     td, details = _build_td(ConstructionSpec("td", k + 1), rng)
     gone = 3 * k + 2
     kept = [e for e in td.edges if gone not in e]

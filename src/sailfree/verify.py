@@ -1,9 +1,10 @@
 """Verification reports and the reproduction table.
 
 A report aggregates the structural facts a researcher wants at a glance:
-linearity (systems are linear by construction), a sail witness if one
-exists, the degree profile, and the total deficiency n*k - 3m.  The role
-check certifies an expected shape:
+a sail witness if one exists, the degree profile, and the total
+deficiency n*k - 3m.  It records no linearity flag, as every
+LinearTripleSystem is linear by construction.  The role check certifies
+an expected shape:
 
 * extremal-3k+1: n = 3k+1, m = k^2+1, sail-free, max degree k and total
   deficiency k-3 (the structure forced at the extremal edge count);
@@ -36,7 +37,6 @@ ROLES = tuple(_SHAPES)
 class VerificationReport:
     n: int
     m: int
-    is_linear: bool
     sail_witness: Optional[SailWitness]
     degree_sequence: tuple[int, ...]
     max_degree: int
@@ -93,7 +93,6 @@ def verify_report(
     return VerificationReport(
         n=system.n,
         m=system.m,
-        is_linear=True,
         sail_witness=witness,
         degree_sequence=tuple(degs),
         max_degree=max_deg,

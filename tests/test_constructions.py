@@ -296,6 +296,17 @@ def test_spec_validation():
         build(ConstructionSpec("c1", 4, two_factor=hamiltonian_two_factor(3)))
 
 
+def test_spec_rejects_k_below_the_variants_least():
+    # the spec itself checks each variant's least k, before any build
+    for variant, k, least in (("c1", 2, 3), ("c2", 2, 3), ("td", 0, 1), ("truncated", 0, 1)):
+        with pytest.raises(KTooSmall, match=f"construction {variant} needs k >= {least}, got {k}"):
+            ConstructionSpec(variant, k)
+    for variant in ("c3", "c4"):
+        for k in (2, 4):
+            with pytest.raises(ValueError, match="defined only for k=3"):
+                ConstructionSpec(variant, k)
+
+
 # --- designs ----------------------------------------------------------------
 
 

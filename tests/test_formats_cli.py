@@ -313,6 +313,20 @@ def test_cli_check_sail_fixture_exits_1(tmp_path, capsys):
     assert code == 1
     assert "apex 0" in captured.out
     assert "(1, 3, 5)" in captured.out
+    assert run_cli("check", str(f), "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 7,
+        "m": 4,
+        "is_linear": True,
+        "sail": {"apex": 0, "fans": [[0, 1, 2], [0, 3, 4], [0, 5, 6]], "crossbar": [1, 3, 5]},
+        "degree_sequence": [1, 1, 1, 2, 2, 2, 3],
+        "max_degree": 3,
+        "k": 2,
+        "deficiency_total": 2,
+        "role": None,
+        "role_pass": None,
+        "pass": False,
+    }
 
 
 def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
@@ -505,6 +519,24 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     for k in ("-1", "0"):
         assert run_cli("check", str(f), "--k", k) == 2, k
         assert "k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--sigma", ("--type", "c1", "--k", "3", "--sigma", "0,x,2", "--tau", "1,2,0")),
+    ("--tau", ("--type", "c1", "--k", "3", "--sigma", "0,1,2", "--tau", "1,2,x")),
+    ("--special-edges", ("--type", "c1", "--k", "3", "--special-edges", "0,x")),
+    ("--latin", ("--type", "td", "--k", "2", "--latin", "0,1;1,x")),
+])
+def test_cli_construct_malformed_flag_is_named(flag, args, capsys):
+    # argparse rejects the value itself, so the usage error names the flag
+    try:
+        code = run_cli("construct", *args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated integers" in err
+    assert "Traceback" not in err
 
 
 def test_cli_invalid_file_content_is_verification_failure(tmp_path, capsys):
