@@ -90,9 +90,39 @@ writes them: (a, b, d), (a, d, d+1) or (d, d+1, d+2).
   orbit is pruned.
 * Budget.  Without automorphisms to prune, a target search on two
   non-isomorphic systems with equal degrees can run long.  It is capped at
-  N1, the nodes h1's own search entered; past N1, isomorphism compares
-  canonical_form(h2) with h1's form instead.  A call thus costs at most
-  the two minimizing searches plus N1 + 1 target nodes.
+  N1, the nodes h1's own search entered; past N1, isomorphism runs the
+  ceiling search of h2 under T instead (below), which answers as
+  canonical_form(h2) compared with T would, with the same labeling, and
+  cuts by bound from the root.  A call thus costs at most h1's minimizing
+  search, N1 + 1 target nodes and one ceiling search.  That search can
+  enter more nodes than canonical_form(h2): the leaves above T that it
+  cuts are where a minimizing search whose first leaf is above the
+  minimum finds automorphisms (about 2.9 times the nodes on the 8 of 336
+  calls that fall back on the benchmark's canon inputs, seeds 1-6).
+
+Ceiling.  Enumeration asks whether a system's own sorted list is its
+minimal list, and isomorphism's fallback whether h2's minimal list is T.
+The search answers both from a ceiling C, a sorted packed list it starts
+from as best, with no labeling, so the bound cut applies from the root.
+It stops at the first leaf strictly below C, and then returns no
+labeling: C is not minimal.  The first leaf equal to C becomes the best
+leaf, with its labeling; later equal leaves give generators and
+abandonment exactly as above.  With no leaf below C, it returns C and
+that labeling if a leaf equals C, and no labeling if none does.
+* Every cut is sound.  Until the search stops, no leaf handled is below
+  C, so C is the least list found so far, as the best is in the
+  minimizing search.  A generator and an abandonment need the best leaf
+  handled earlier in DFS order, and the first leaf equal to C was.  A
+  ceiling given with a labeling, such as the identity for a system's own
+  list, would break this: the search may reach that leaf late or never
+  (the identity need not even lie in the search space), and an equal leaf
+  before it would abandon a subtree for a sibling never handled.
+* The labeling is canonical_form's.  Before the first leaf equal to C no
+  generator is kept, and the bound cut drops only leaves above C.
+  Children come in the order of (bound, vertex), which does not depend on
+  best, so that leaf is the first leaf in that order whose list is C.
+  When C is the minimal list, the minimizing search returns that same
+  leaf.
 
 Triples are packed into ints (a<<12 | b<<6 | c) so list comparison and
 sorting stay cheap.  A field holds 0..63, hence n <= 64, with one
@@ -117,15 +147,23 @@ def _unpack(x: int) -> Triple:
     return Triple(x >> 12, (x >> 6) & 63, x & 63)
 
 
+def _pack(edges) -> list[int]:
+    return [(a << 12) | (b << 6) | c for a, b, c in edges]
+
+
 def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = None,
-            budget: int = 0) -> tuple[Optional[list[int]], list[int], int]:
+            budget: int = 0, ceiling: Optional[list[int]] = None,
+            ) -> tuple[Optional[list[int]], list[int], int]:
     """The labeling search; returns (list, labeling, nodes entered).
 
-    With no target: the minimal packed edge list and its first labeling.
-    With a target, the packed canonical list of a system with the same
-    degrees: (target, the first labeling giving it) or (None, []) after at
-    most budget + 1 nodes; nodes > budget means that the search stopped at
-    the budget undecided (module docstring, "Matching a target").
+    With no target or ceiling: the minimal packed edge list and its first
+    labeling.  With a target, the packed canonical list of a system with
+    the same degrees: (target, the first labeling giving it) or (None, [])
+    after at most budget + 1 nodes; nodes > budget means that the search
+    stopped at the budget undecided (module docstring, "Matching a
+    target").  With a ceiling, a sorted packed list: (ceiling,
+    canonical_form's labeling) when it is the minimal list, else (None, [])
+    (module docstring, "Ceiling").
     """
     if not edges:
         return [], list(range(n)), 0
@@ -144,7 +182,7 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
     u = len(on_edge)
     label = [-1] * n
     path: list[int] = []
-    best: Optional[list[int]] = target
+    best: Optional[list[int]] = target if ceiling is None else ceiling
     best_label: list[int] = []
     gens: list[list[int]] = []
     nodes = 0
@@ -201,7 +239,13 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
             best_label = full
             return -1
         if best is None or cur < best:
+            if ceiling is not None:  # below the ceiling: stop with no labeling
+                best_label = []
+                return -1
             best, best_label = cur, full
+            return u
+        if not best_label:  # the first leaf equal to the ceiling
+            best_label = full
             return u
         # equal to the best: sigma = best_label^-1 o full is an automorphism
         inv = [0] * n
@@ -277,19 +321,25 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
         return depth
 
     dfs(0)
-    if target is not None and not best_label:
+    if not best_label:
         return None, [], nodes
     return best, best_label, nodes
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Relabeling-invariant representative: equal forms iff isomorphic systems."""
+    """Relabeling-invariant representative: equal forms iff isomorphic systems.
+
+    nodes counts the labeling search's nodes: canonical_form's own search,
+    or, for a form enumerate_extremal returns, the ceiling search that
+    accepted its system, which cuts by bound from the root and enters
+    fewer.
+    """
 
     n: int
     edges: tuple[Triple, ...]
     labeling: tuple[int, ...] = field(compare=False, repr=False)
-    nodes: int = field(default=0, compare=False, repr=False)  # search nodes entered
+    nodes: int = field(default=0, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         """Stable encoding: n as one byte, then each sorted triple as 3 bytes."""
@@ -312,8 +362,9 @@ def isomorphism(h1: LinearTripleSystem, h2: LinearTripleSystem) -> Optional[tupl
     """A vertex bijection carrying the edges of h1 onto the edges of h2, or None.
 
     h2 is searched for a labeling onto h1's canonical list, within as many
-    nodes as h1's own search took; past that, h2's canonical form decides
-    (module docstring, "Matching a target").  The bijection is the one the
+    nodes as h1's own search took; past that, the search of h2 with that
+    list as its ceiling decides (module docstring, "Matching a target" and
+    "Ceiling").  The bijection is the one the
     two canonical labelings give, whichever way it was found.  A c1 system
     against a relabeling takes ~0.1 s at k=4 and ~3 s at k=5, against
     ~0.2 s and ~6 s for two canonical forms (CPU, one core of a 2-core
@@ -322,14 +373,11 @@ def isomorphism(h1: LinearTripleSystem, h2: LinearTripleSystem) -> Optional[tupl
     if h1.n != h2.n or h1.m != h2.m or sorted(h1.degrees()) != sorted(h2.degrees()):
         return None
     f1 = canonical_form(h1)
-    target = [(a << 12) | (b << 6) | c for a, b, c in f1.edges]
+    target = _pack(f1.edges)
     found, labeling2, nodes = _search(h2.n, h2.edges, target, f1.nodes)
     if nodes > f1.nodes:
-        f2 = canonical_form(h2)
-        if f1 != f2:
-            return None
-        labeling2 = f2.labeling
-    elif found is None:
+        found, labeling2, _ = _search(h2.n, h2.edges, ceiling=target)
+    if found is None:
         return None
     inv2 = [0] * h2.n
     for v, lab in enumerate(labeling2):

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from .canon import canonical_form, is_isomorphic
 from .constructions import ConstructionSpec, TwoFactorSpec, build_resolved
-from .errors import LimitExceeded, RoleShapeMismatch, TripleSystemError
+from .errors import LimitExceeded, LinearityViolation, RoleShapeMismatch, TripleSystemError
 from .formats import parse_system, serialize_system, system_to_json
 from .search import SearchOptions, _remaining, enumerate_extremal, max_sail_free
 from .verify import ROLES, table, verify_report
@@ -110,7 +110,7 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _check_failed(args, exc, linear: bool) -> int:
+def _check_failed(args, exc, linear: bool | None) -> int:
     if args.json:
         print(json.dumps({"is_linear": linear, "pass": False, "error": str(exc)}))
     else:
@@ -122,7 +122,9 @@ def cmd_check(args) -> int:
     try:
         system = _load(args.file)
     except _BadFile as exc:
-        return _check_failed(args, exc, linear=False)
+        # only a linearity fault settles linearity; any other leaves it unknown
+        linear = False if isinstance(exc.__cause__, LinearityViolation) else None
+        return _check_failed(args, exc, linear=linear)
     try:
         report = verify_report(system, role=args.role, k=args.k)
     except RoleShapeMismatch as exc:

@@ -7,8 +7,9 @@ each accepted edge set is visited exactly once as its sorted edge list.
 The DFS holds a bound and hands every node larger than it to a leaf
 policy, which returns the new bound: the maximum search records the
 system and raises the bound to its size, so the search goes on above it;
-enumeration of m-edge systems adds the system's canonical form to its
-set and holds the bound at m-1, so no system grows past m edges.  Every
+enumeration of m-edge systems keeps the system if it is its class's
+canonical copy (the leaf test below) and holds the bound at m-1, so no
+system grows past m edges.  Every
 run has a degree cap Delta: no vertex may lie in more than Delta edges.
 Besides the run stops below, the one prune is the candidate count: a
 child is pruned when its edges and the pair-compatible candidate triples
@@ -67,8 +68,7 @@ triples are the smallest triples through 0, and 0 lies in no other edge,
 so the relabeled sorted edge list starts with the star; every vertex has
 degree at most Delta, so the run at Delta reaches it.  The maximum
 therefore loses no value, and enumeration keeps at least one labeled
-member of every isomorphism class (it deduplicates through canonical
-forms, so the break only drops relabeled duplicates).  The per-Delta
+member of every isomorphism class.  The per-Delta
 stop min(n*Delta//3, Delta*(n-2*Delta)) bounds the systems of maximum
 degree Delta: the degrees sum to 3m <= n*Delta, so m <= n*Delta//3; and
 an edge off the star with all three vertices in N(0) would meet three
@@ -111,6 +111,23 @@ child's candidates are cut from all of the node's, since a triple out of
 order at a node can come into order below it.  Only runs whose prefix
 starts with the star keep the order, so the tests' unbroken search
 below the first edge alone stays unbroken.
+
+Leaf test.  Enumeration keeps an m-edge stack only when it is its
+class's canonical copy, the lex-minimal sorted edge list canonical_form
+gives.  canon's ceiling search, with the stack's own sorted packed list
+as the ceiling, returns canonical_form's labeling exactly then, and
+otherwise stops at the first smaller relabeling (canon module docstring,
+"Ceiling"): orderly generation (Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998), with no form
+computed and no set to deduplicate.  Soundness: take a class of maximum
+degree Delta and its canonical copy C.  A list whose vertex 0 has degree
+below Delta holds a triple not through 0 where the star's list still
+holds one through 0, and the star's triples are the least through 0, so
+C starts with vertex 0's star at Delta and lies in the run at Delta,
+within its cap.  C is the least member of every orbit, its G-orbit too,
+so no prefix of C leaves first-use order.  The run visits each edge set
+once, so C is emitted exactly once, by one run or one pool task, and
+every other stack is rejected.
 
 The maximum starts its bound at the construction of formula size
 (constructions.formula_construction, from the residue table
@@ -177,7 +194,7 @@ from itertools import combinations, takewhile
 from math import comb, inf
 from typing import Callable, Optional
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, _pack, _search, canonical_form
 from .constructions import formula_construction
 from .core import LinearTripleSystem, Triple, check_size, pair_mask
 from .errors import LimitExceeded
@@ -526,18 +543,24 @@ def _max_kernel(n, prefix, delta, bound, stop_at, budget):
 
 
 def _enum_kernel(n, prefix, delta, m, stop_at, budget):
-    """The DFS with enumeration's leaf policy: the set of canonical forms
-    of every m-edge system.
+    """The DFS with enumeration's leaf policy: the set of the m-edge
+    systems that are their classes' canonical copies, as canonical forms.
 
     The bound stays at m-1, so every m-edge system reaches the leaf and
-    none is extended.  stop_at is the most edges a system below the prefix
-    can have: below m the run ends on entry, and otherwise it is never
-    reached.
+    none is extended.  The leaf keeps a stack only when the ceiling search
+    under its own list returns a labeling (module docstring, "Leaf test");
+    the form is the stack with that labeling, which is canonical_form's,
+    and the ceiling search's node count.  stop_at is the most edges a
+    system below the prefix can have: below m the run ends on entry, and
+    otherwise it is never reached.
     """
     forms = set()
 
     def leaf(stack):
-        forms.add(canonical_form(LinearTripleSystem(n, tuple(stack))))
+        # the stack is in lexicographic order, so its packed list is sorted
+        found, labeling, nodes = _search(n, stack, ceiling=_pack(stack))
+        if found is not None:
+            forms.add(CanonicalForm(n, tuple(stack), tuple(labeling), nodes))
         return m - 1
 
     _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
@@ -612,8 +635,9 @@ def enumerate_extremal(n: int, m: int,
 
     The search runs under the star symmetry break (module docstring),
     which keeps at least one labeled member of every class.  Each run or
-    pool task returns the canonical forms of its m-edge systems, and the
-    classes are their union.
+    pool task returns the forms of its m-edge systems that are their
+    classes' canonical copies (module docstring, "Leaf test"); each class
+    comes from exactly one of them, and the classes are their union.
     Raises LimitExceeded when a node or time budget stops the run before
     the enumeration is complete.
     """

@@ -2,13 +2,11 @@
 
 Criterion 8 (the full classification at n=10) takes a fraction of a
 second on one core under the search's star symmetry break; the same
-classification at n=13 runs nightly.
+classification at n=13 takes about 25 s.
 """
 
 import itertools
 import random
-
-import pytest
 
 from sailfree.canon import canonical_form
 from sailfree.cli import main as cli_main
@@ -221,10 +219,9 @@ def test_criterion_8_classification_at_k3():
            f"sweep; extra={extra or '{}'} missing={missing or '{}'}")
 
 
-@pytest.mark.nightly
 def test_classification_at_k4():
-    # the paper's n = 3k+1 characterization one size up (about a minute): every
-    # 17-edge sail-free system on 13 vertices is c1's
+    # the paper's n = 3k+1 characterization one size up (about 25 s on one
+    # core): every 17-edge sail-free system on 13 vertices is c1's
     want = canonical_form(build(ConstructionSpec("c1", 4)))
     assert enumerate_extremal(13, 17) == {want}
 

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import sailfree.canon as canon_module
 from sailfree.canon import (
     CanonicalForm,
+    _pack,
     _search,
     canonical_form,
     is_isomorphic,
@@ -387,8 +389,7 @@ def _two_forms_isomorphism(h1, h2):
 def _outcome(h1, h2):
     """How the targeted search of h2 against h1's list ends."""
     f1 = canonical_form(h1)
-    target = [(a << 12) | (b << 6) | c for a, b, c in f1.edges]
-    found, _, nodes = _search(h2.n, h2.edges, target, f1.nodes)
+    found, _, nodes = _search(h2.n, h2.edges, _pack(f1.edges), f1.nodes)
     return "budget" if nodes > f1.nodes else "found" if found is not None else "none"
 
 
@@ -437,7 +438,8 @@ def test_targeted_isomorphism_matches_two_forms():
 
 def test_nonisomorphic_pairs_with_equal_degrees(monkeypatch):
     # the degree pre-check passes, so the targeted search must refute the
-    # match, or run out of its budget and fall back to h2's own form
+    # match, or run out of its budget and fall back to the ceiling search
+    # of h2 under h1's list; either way h1's form is the only one computed
     pairs = [(transversal_design(4), transversal_design(4, latin=KLEIN4)),
              (transversal_design(5), transversal_design(5, latin=NONCYCLIC5)),
              (build(ConstructionSpec("c1", 3)), build(ConstructionSpec("c2", 3))),
@@ -449,12 +451,95 @@ def test_nonisomorphic_pairs_with_equal_degrees(monkeypatch):
         calls.append(system)
         return canonical_form(system)
 
+    ceilings = []
+
+    def searching(n, edges, *args, ceiling=None):
+        if ceiling is not None:
+            ceilings.append(edges)
+        return _search(n, edges, *args, ceiling=ceiling)
+
     monkeypatch.setattr(canon_module, "canonical_form", counting)
+    monkeypatch.setattr(canon_module, "_search", searching)
     fallbacks = 0
     for a, b in pairs:
         assert sorted(a.degrees()) == sorted(b.degrees())
         for h1, h2 in ((a, b), (b, a)):
             calls.clear()
+            ceilings.clear()
             assert not is_isomorphic(h1, h2)
-            fallbacks += calls == [h1, h2]
+            assert calls == [h1]
+            fallbacks += ceilings == [h2.edges]
     assert fallbacks > 0
+
+
+def test_ceiling_search_accepts_exactly_the_minimal_lists():
+    # a system's own list as the ceiling: a labeling comes back exactly when
+    # that list is the brute-force minimum, and it is canonical_form's
+    rng = random.Random(2626)
+    for _ in range(40):
+        s = random_linear_system(rng.randrange(4, 8), rng, tries=8)
+        if s.m == 0:
+            continue
+        minimal = brute_min_edge_list(s)
+        variants = [s, canonical_form(s).system()]
+        for _ in range(2):
+            perm = list(range(s.n))
+            rng.shuffle(perm)
+            variants.append(relabeled(s, perm))
+        for t in variants:
+            own = _pack(t.edges)
+            found, labeling, _ = _search(t.n, t.edges, ceiling=own)
+            if [tuple(e) for e in t.edges] == minimal:
+                assert (found, labeling) == (own, list(canonical_form(t).labeling)), t
+            else:
+                assert (found, labeling) == (None, []), t
+
+
+def test_ceiling_search_returns_canonical_forms_labeling():
+    rng = random.Random(2727)
+    systems = [random_linear_system(rng.randrange(6, 13), rng) for _ in range(300)]
+    systems += [build(ConstructionSpec(variant, k, seed=rng.randrange(1 << 30)))
+                for variant, k in (("c1", 3), ("c2", 3), ("c3", 3), ("c4", 3),
+                                   ("c1", 4), ("td", 4), ("truncated", 4))]
+    rejected = 0
+    for s in systems:
+        f = canonical_form(s)
+        ceiling = _pack(f.edges)
+        g = f.system()
+        # a canonical form's system under its own list
+        assert _search(g.n, g.edges, ceiling=ceiling)[:2] == (ceiling, list(canonical_form(g).labeling))
+        # any member of the class under the class's list, as in isomorphism
+        assert _search(s.n, s.edges, ceiling=ceiling)[:2] == (ceiling, list(f.labeling))
+        if s.edges != f.edges:
+            assert _search(s.n, s.edges, ceiling=_pack(s.edges))[:2] == (None, []), s
+            rejected += 1
+    assert rejected >= 250
+
+
+def test_isomorphism_falls_back_to_the_ceiling_search(monkeypatch):
+    # h1's form reports no nodes, so the targeted search overruns its budget
+    # at the first node; the ceiling search of h2 under h1's list must then
+    # give the two forms' answer and bijection, with no second form
+    calls = []
+
+    def starved(system):
+        calls.append(system)
+        return dataclasses.replace(canonical_form(system), nodes=0)
+
+    monkeypatch.setattr(canon_module, "canonical_form", starved)
+    rng = random.Random(2828)
+    systems = [build(ConstructionSpec("c1", 3)), build(ConstructionSpec("c4", 3)),
+               truncated_design(3), transversal_design(4)]
+    systems += [random_linear_system(rng.randrange(6, 13), rng) for _ in range(40)]
+    pairs = []
+    for s in systems:
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        pairs.append((s, relabeled(s, perm)))
+    pairs += [(transversal_design(4), transversal_design(4, latin=KLEIN4)),
+              (build(ConstructionSpec("c1", 3)), build(ConstructionSpec("c2", 3)))]
+    for a, b in pairs:
+        for h1, h2 in ((a, b), (b, a)):
+            calls.clear()
+            assert isomorphism(h1, h2) == _two_forms_isomorphism(h1, h2), (h1, h2)
+            assert calls == [h1], (h1, h2)

@@ -343,6 +343,18 @@ def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_check_json_names_linearity_only_for_a_linearity_fault(tmp_path, capsys):
+    # a size fault or a repeated edge fails the parse before linearity is
+    # checked, so is_linear is null; only a shared pair makes it false
+    f = tmp_path / "bad.txt"
+    for text, linear in (("4 2\n0 1 2\n0 1 3\n", False), ("65 1\n0 1 2\n", None),
+                         ("4 2\n0 1 2\n0 1 2\n", None)):
+        f.write_text(text)
+        assert run_cli("check", str(f), "--json") == 1, text
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["is_linear"], payload["pass"]) == (linear, False), text
+
+
 def test_cli_check_json(tmp_path, capsys):
     f = tmp_path / "td.txt"
     f.write_text(serialize_system(transversal_design(3)))

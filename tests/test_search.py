@@ -19,7 +19,6 @@ from sailfree.search import (
     _Budget,
     _depth2_prefixes,
     _dfs,
-    _enum_kernel,
     _max_kernel,
     _max_task,
     _run_tasks,
@@ -150,9 +149,17 @@ def test_counting_proves_every_n_the_start_reaches():
 
 
 def _unbroken_classes(n, m):
-    """Enumeration without the star break, as in _unbroken_max."""
+    """Enumeration without the star break, as in _unbroken_max, and without
+    the leaf's canonicity test: every m-edge system's canonical form goes
+    into a set, so the oracle shares no leaf rule with _enum_kernel."""
     budget = _Budget(None, None)
-    forms = _enum_kernel(n, (0,), (n - 1) // 2, m, _reference_bound(n), budget)
+    forms = set()
+
+    def leaf(stack):
+        forms.add(canonical_form(LinearTripleSystem(n, tuple(stack))))
+        return m - 1
+
+    _dfs(n, (0,), (n - 1) // 2, m - 1, _reference_bound(n), budget, leaf)
     assert not budget.exceeded
     return forms
 
@@ -452,6 +459,22 @@ def test_enumerate_past_k3():
     assert len(enumerate_extremal(11, 12)) == 4
     classes = enumerate_extremal(12, 16)
     assert len(classes) == 2 and canonical_form(transversal_design(4)) in classes
+
+
+def test_enumerated_forms_are_canonical_forms():
+    # the leaf keeps a system only when its own list is minimal, so each
+    # returned form is canonical_form's, labeling included; with two
+    # workers the run at degree m is added by canonical_form itself
+    shapes = [(n, m) for n in range(3, 10) for m in range(1, upper_bound(n) + 1)]
+    for n, m in shapes + [(10, 10), (11, 12), (12, 16)]:
+        forms = enumerate_extremal(n, m)
+        assert forms, (n, m)
+        for f in forms:
+            g = canonical_form(f.system())
+            assert (g, g.labeling) == (f, f.labeling), (n, m)
+    for n, m in ((7, 3), (9, 9)):
+        two = enumerate_extremal(n, m, SearchOptions(worker_count=2))
+        assert {(f, f.labeling) for f in two} == {(f, f.labeling) for f in enumerate_extremal(n, m)}
 
 
 def test_unbroken_runs_build_no_first_use_order(monkeypatch):
