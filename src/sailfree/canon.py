@@ -69,60 +69,39 @@ than the best list.
 
 Matching a target.  isomorphism(h1, h2) needs only the first leaf of h2's
 tree whose list is T, h1's canonical list.  The search in target mode
-starts with best = T, so the bound cut applies from the root, stops at its
-first leaf, and keeps a candidate v for label d only if the new entries of
-v's edges, sorted, equal T's triples through label d written the way new
-writes them: (a, b, d), (a, d, d+1) or (d, d+1, d+2).
+stops at its first leaf, and keeps a candidate v for label d only if the
+new entries of v's edges, sorted, equal T's triples through label d
+written the way new writes them: (a, b, d), (a, d, d+1) or (d, d+1, d+2).
 * The check is necessary: a leaf with list T carries the edges through v
   onto T's triples through d, and new masks the labels above d of each
   image exactly so.  It is sufficient at a leaf: only an (a, b, d) entry
   ends in d, so the check at d matches the edges whose largest label is d
   with T's triples whose largest label is d, and over d = 0..u-1 that is
   every edge and every triple of T (T's labels are below u, as h2 has
-  h1's degrees).  So every leaf reached has list T, and the check and the
-  bound cut drop no leaf with list T.
-* The labeling is the one canonical_form(h2) gives.  Children come in the
-  order of (bound, vertex), which does not depend on best, so the search
-  returns the first leaf in that order whose list is T.  When h2 is
-  isomorphic to h1, T is h2's minimal list, and the minimizing search
-  returns the first minimal leaf in that same order (above).  No leaf
-  equal to the best comes before the stop, so no generator is kept and no
-  orbit is pruned.
+  h1's degrees).  So every leaf reached has list T, and the check drops
+  no leaf with list T.
+* The labeling is the one canonical_form(h2) gives.  No best is set
+  before the stop, so no bound cut, generator or orbit prune applies, and
+  the search returns the first leaf whose list is T in the order of
+  (bound, vertex).  When h2 is isomorphic to h1, T is h2's minimal list,
+  and the minimizing search returns the first minimal leaf in that same
+  order (above).
 * Budget.  Without automorphisms to prune, a target search on two
   non-isomorphic systems with equal degrees can run long.  It is capped at
   N1, the nodes h1's own search entered; past N1, isomorphism runs the
-  ceiling search of h2 under T instead (below), which answers as
-  canonical_form(h2) compared with T would, with the same labeling, and
-  cuts by bound from the root.  A call thus costs at most h1's minimizing
-  search, N1 + 1 target nodes and one ceiling search.  That search can
-  enter more nodes than canonical_form(h2): the leaves above T that it
-  cuts are where a minimizing search whose first leaf is above the
-  minimum finds automorphisms (about 2.9 times the nodes on the 8 of 336
-  calls that fall back on the benchmark's canon inputs, seeds 1-6).
+  ceiling search of h2 under T instead (below).  A call thus costs at most
+  h1's minimizing search, N1 + 1 target nodes and h2's minimizing search.
 
 Ceiling.  Enumeration asks whether a system's own sorted list is its
 minimal list, and isomorphism's fallback whether h2's minimal list is T.
-The search answers both from a ceiling C, a sorted packed list it starts
-from as best, with no labeling, so the bound cut applies from the root.
-It stops at the first leaf strictly below C, and then returns no
-labeling: C is not minimal.  The first leaf equal to C becomes the best
-leaf, with its labeling; later equal leaves give generators and
-abandonment exactly as above.  With no leaf below C, it returns C and
-that labeling if a leaf equals C, and no labeling if none does.
-* Every cut is sound.  Until the search stops, no leaf handled is below
-  C, so C is the least list found so far, as the best is in the
-  minimizing search.  A generator and an abandonment need the best leaf
-  handled earlier in DFS order, and the first leaf equal to C was.  A
-  ceiling given with a labeling, such as the identity for a system's own
-  list, would break this: the search may reach that leaf late or never
-  (the identity need not even lie in the search space), and an equal leaf
-  before it would abandon a subtree for a sibling never handled.
-* The labeling is canonical_form's.  Before the first leaf equal to C no
-  generator is kept, and the bound cut drops only leaves above C.
-  Children come in the order of (bound, vertex), which does not depend on
-  best, so that leaf is the first leaf in that order whose list is C.
-  When C is the minimal list, the minimizing search returns that same
-  leaf.
+The search answers both from a ceiling C: it is the minimizing search,
+stopped at the first leaf strictly below C with no labeling, since C is
+then not minimal.  With no such leaf it runs to the end, where its best
+is the minimal list, and returns that list and its labeling when it is C
+and no labeling when it is not.  Up to the stop the traversal is
+canonical_form's, so a search that accepts C returns canonical_form's
+labeling and node count, and one that rejects C enters at most as many
+nodes.
 
 Triples are packed into ints (a<<12 | b<<6 | c) so list comparison and
 sorting stay cheap.  A field holds 0..63, hence n <= 64, with one
@@ -182,7 +161,7 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
     u = len(on_edge)
     label = [-1] * n
     path: list[int] = []
-    best: Optional[list[int]] = target if ceiling is None else ceiling
+    best: Optional[list[int]] = None
     best_label: list[int] = []
     gens: list[list[int]] = []
     nodes = 0
@@ -232,21 +211,15 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
     def leaf(cur: list[int]) -> int:
         """Record a complete labeling; returns the depth to resume at."""
         nonlocal best, best_label
+        if ceiling is not None and cur < ceiling:  # the ceiling is not minimal: stop
+            best = None
+            return -1
         full = label[:]
         for i, v in enumerate(isolated):
             full[v] = u + i
-        if target is not None:  # every leaf reached gives the target: stop
-            best_label = full
-            return -1
         if best is None or cur < best:
-            if ceiling is not None:  # below the ceiling: stop with no labeling
-                best_label = []
-                return -1
             best, best_label = cur, full
-            return u
-        if not best_label:  # the first leaf equal to the ceiling
-            best_label = full
-            return u
+            return -1 if target is not None else u  # a target search stops at its first leaf
         # equal to the best: sigma = best_label^-1 o full is an automorphism
         inv = [0] * n
         for v, lab in enumerate(best_label):
@@ -266,7 +239,8 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
     def dfs(depth: int) -> int:
         """Explore the children of the current path; returns the depth to
         resume at (depth itself, less when a found automorphism covers the
-        rest of an ancestor's subtree, -1 when a targeted search stops)."""
+        rest of an ancestor's subtree, -1 when a target or ceiling search
+        stops)."""
         nonlocal nodes
         if depth == 0:
             cands = on_edge
@@ -321,7 +295,7 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
         return depth
 
     dfs(0)
-    if not best_label:
+    if best is None or ceiling is not None and best != ceiling:
         return None, [], nodes
     return best, best_label, nodes
 
@@ -330,10 +304,9 @@ def _search(n: int, edges: tuple[Triple, ...], target: Optional[list[int]] = Non
 class CanonicalForm:
     """Relabeling-invariant representative: equal forms iff isomorphic systems.
 
-    nodes counts the labeling search's nodes: canonical_form's own search,
-    or, for a form enumerate_extremal returns, the ceiling search that
-    accepted its system, which cuts by bound from the root and enters
-    fewer.
+    nodes counts the nodes canonical_form's labeling search entered.  A
+    form enumerate_extremal returns carries the same labeling and count,
+    from the ceiling search that accepted its system (_canonical_copy).
     """
 
     n: int
@@ -354,6 +327,15 @@ def canonical_form(system: LinearTripleSystem) -> CanonicalForm:
     return CanonicalForm(system.n, tuple(_unpack(x) for x in packed), tuple(labeling), nodes)
 
 
+def _canonical_copy(n: int, edges: tuple[Triple, ...]) -> Optional[CanonicalForm]:
+    """The form of the system on n vertices with these edges, sorted, when
+    they are its minimal list, else None: the ceiling search under their
+    own list (module docstring, "Ceiling").  The form carries
+    canonical_form's labeling and node count."""
+    found, labeling, nodes = _search(n, edges, ceiling=_pack(edges))
+    return None if found is None else CanonicalForm(n, tuple(edges), tuple(labeling), nodes)
+
+
 def is_isomorphic(h1: LinearTripleSystem, h2: LinearTripleSystem) -> bool:
     return isomorphism(h1, h2) is not None
 
@@ -363,12 +345,12 @@ def isomorphism(h1: LinearTripleSystem, h2: LinearTripleSystem) -> Optional[tupl
 
     h2 is searched for a labeling onto h1's canonical list, within as many
     nodes as h1's own search took; past that, the search of h2 with that
-    list as its ceiling decides (module docstring, "Matching a target" and
-    "Ceiling").  The bijection is the one the
-    two canonical labelings give, whichever way it was found.  A c1 system
-    against a relabeling takes ~0.1 s at k=4 and ~3 s at k=5, against
-    ~0.2 s and ~6 s for two canonical forms (CPU, one core of a 2-core
-    x86-64 VM); nearly all of it is h1's form.
+    list as its ceiling decides, in at most the nodes of h2's own form
+    (module docstring, "Matching a target" and "Ceiling").  The bijection
+    is the one the two canonical labelings give, whichever way it was
+    found.  A c1 system against a relabeling takes ~0.1 s at k=4 and ~3 s
+    at k=5, against ~0.2 s and ~6 s for two canonical forms (CPU, one core
+    of a 2-core x86-64 VM); nearly all of it is h1's form.
     """
     if h1.n != h2.n or h1.m != h2.m or sorted(h1.degrees()) != sorted(h2.degrees()):
         return None

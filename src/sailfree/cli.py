@@ -2,7 +2,7 @@
 
 Every subcommand is a thin wrapper over library operations.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 search limit
-exceeded.  A file whose content fails to parse or validate is a
+exceeded.  A file whose content fails to decode, parse or validate is a
 verification failure in every subcommand; any other package error is a
 usage error.  SAILFREE_THREADS sets the default worker count.
 """
@@ -57,13 +57,14 @@ def _read(path: str) -> str:
 
 
 class _BadFile(Exception):
-    """A file whose content fails to parse or validate; main exits 1."""
+    """A file whose content fails to decode as UTF-8, parse or validate;
+    main exits 1."""
 
 
 def _load(path: str):
     try:
         return parse_system(_read(path))
-    except TripleSystemError as exc:
+    except (TripleSystemError, UnicodeDecodeError) as exc:
         raise _BadFile(exc) from exc
 
 

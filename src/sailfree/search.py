@@ -114,12 +114,12 @@ below the first edge alone stays unbroken.
 
 Leaf test.  Enumeration keeps an m-edge stack only when it is its
 class's canonical copy, the lex-minimal sorted edge list canonical_form
-gives.  canon's ceiling search, with the stack's own sorted packed list
-as the ceiling, returns canonical_form's labeling exactly then, and
-otherwise stops at the first smaller relabeling (canon module docstring,
-"Ceiling"): orderly generation (Read, "Every one a winner", Ann.
-Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998), with no form
-computed and no set to deduplicate.  Soundness: take a class of maximum
+gives.  canon's _canonical_copy returns the stack's form, with
+canonical_form's labeling and node count, exactly then: it runs
+canonical_form's search and stops it at the first smaller relabeling
+(canon module docstring, "Ceiling").  This is orderly generation (Read,
+"Every one a winner", Ann. Discrete Math. 2, 1978; McKay, J. Algorithms
+26, 1998), with no set to deduplicate.  Soundness: take a class of maximum
 degree Delta and its canonical copy C.  A list whose vertex 0 has degree
 below Delta holds a triple not through 0 where the star's list still
 holds one through 0, and the star's triples are the least through 0, so
@@ -194,7 +194,7 @@ from itertools import combinations, takewhile
 from math import comb, inf
 from typing import Callable, Optional
 
-from .canon import CanonicalForm, _pack, _search, canonical_form
+from .canon import CanonicalForm, _canonical_copy, canonical_form
 from .constructions import formula_construction
 from .core import LinearTripleSystem, Triple, check_size, pair_mask
 from .errors import LimitExceeded
@@ -547,20 +547,19 @@ def _enum_kernel(n, prefix, delta, m, stop_at, budget):
     systems that are their classes' canonical copies, as canonical forms.
 
     The bound stays at m-1, so every m-edge system reaches the leaf and
-    none is extended.  The leaf keeps a stack only when the ceiling search
-    under its own list returns a labeling (module docstring, "Leaf test");
-    the form is the stack with that labeling, which is canonical_form's,
-    and the ceiling search's node count.  stop_at is the most edges a
-    system below the prefix can have: below m the run ends on entry, and
-    otherwise it is never reached.
+    none is extended.  The leaf keeps a stack only when canon's
+    _canonical_copy returns its form (module docstring, "Leaf test"), which
+    carries canonical_form's labeling and node count.  stop_at is the most
+    edges a system below the prefix can have: below m the run ends on
+    entry, and otherwise it is never reached.
     """
     forms = set()
 
     def leaf(stack):
-        # the stack is in lexicographic order, so its packed list is sorted
-        found, labeling, nodes = _search(n, stack, ceiling=_pack(stack))
-        if found is not None:
-            forms.add(CanonicalForm(n, tuple(stack), tuple(labeling), nodes))
+        # the stack is in lexicographic order, as _canonical_copy takes it
+        form = _canonical_copy(n, stack)
+        if form is not None:
+            forms.add(form)
         return m - 1
 
     _dfs(n, prefix, delta, m - 1, stop_at, budget, leaf)
@@ -709,17 +708,21 @@ def _run_tasks(n, runs, workers, budget, task):
     budget cut no task.  One worker runs each run in this process, with n
     and the budget as arguments, so calls in threads do not meet; more run
     the depth-2 prefixes below the runs in a process pool (module
-    docstring, _in_worker).  Nothing runs when there is no run or no
-    budget left.
+    docstring, _in_worker) of at most one worker per prefix.  Nothing runs
+    when there is no run, no prefix or no budget left.
     """
     if not runs or budget.spend(0):
         return not budget.exceeded, []
     if workers == 1:
         results = [task(n, budget, run) for run in runs]
         return not budget.exceeded, results
+    prefixes = list(_depth2_prefixes(n, runs))
+    if not prefixes:
+        return not budget.exceeded, []
     budget.counter = mp.Value("q", budget.local, lock=True)
-    tasks = takewhile(lambda _: not budget.spend(0), _depth2_prefixes(n, runs))
-    with mp.Pool(workers, initializer=_pool_init, initargs=(n, budget)) as pool:
+    tasks = takewhile(lambda _: not budget.spend(0), prefixes)
+    with mp.Pool(min(workers, len(prefixes)), initializer=_pool_init,
+                 initargs=(n, budget)) as pool:
         outcomes = list(pool.imap(partial(_in_worker, task), tasks))
     clean = not budget.exceeded and all(ok for ok, _ in outcomes)
     return clean, [result for _, result in outcomes]

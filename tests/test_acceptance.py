@@ -223,7 +223,11 @@ def test_classification_at_k4():
     # the paper's n = 3k+1 characterization one size up (about 25 s on one
     # core): every 17-edge sail-free system on 13 vertices is c1's
     want = canonical_form(build(ConstructionSpec("c1", 4)))
-    assert enumerate_extremal(13, 17) == {want}
+    (form,) = enumerate_extremal(13, 17)
+    assert form == want
+    # the form carries canonical_form's labeling and node count
+    own = canonical_form(form.system())
+    assert (own.labeling, own.nodes) == (form.labeling, form.nodes)
 
 
 def test_criterion_9_cli_end_to_end(tmp_path, capsys):

@@ -501,17 +501,21 @@ def test_ceiling_search_returns_canonical_forms_labeling():
     systems += [build(ConstructionSpec(variant, k, seed=rng.randrange(1 << 30)))
                 for variant, k in (("c1", 3), ("c2", 3), ("c3", 3), ("c4", 3),
                                    ("c1", 4), ("td", 4), ("truncated", 4))]
+    # an accepting search is canonical_form's search, node count included,
+    # and a rejecting one is that search stopped early
     rejected = 0
     for s in systems:
         f = canonical_form(s)
         ceiling = _pack(f.edges)
         g = f.system()
         # a canonical form's system under its own list
-        assert _search(g.n, g.edges, ceiling=ceiling)[:2] == (ceiling, list(canonical_form(g).labeling))
+        own = canonical_form(g)
+        assert _search(g.n, g.edges, ceiling=ceiling) == (ceiling, list(own.labeling), own.nodes)
         # any member of the class under the class's list, as in isomorphism
-        assert _search(s.n, s.edges, ceiling=ceiling)[:2] == (ceiling, list(f.labeling))
+        assert _search(s.n, s.edges, ceiling=ceiling) == (ceiling, list(f.labeling), f.nodes)
         if s.edges != f.edges:
-            assert _search(s.n, s.edges, ceiling=_pack(s.edges))[:2] == (None, []), s
+            found, labeling, nodes = _search(s.n, s.edges, ceiling=_pack(s.edges))
+            assert (found, labeling) == (None, []) and nodes <= f.nodes, s
             rejected += 1
     assert rejected >= 250
 
@@ -519,14 +523,23 @@ def test_ceiling_search_returns_canonical_forms_labeling():
 def test_isomorphism_falls_back_to_the_ceiling_search(monkeypatch):
     # h1's form reports no nodes, so the targeted search overruns its budget
     # at the first node; the ceiling search of h2 under h1's list must then
-    # give the two forms' answer and bijection, with no second form
+    # give the two forms' answer and bijection, with no second form, in at
+    # most the nodes of h2's form
     calls = []
+    ceilings = []
 
     def starved(system):
         calls.append(system)
         return dataclasses.replace(canonical_form(system), nodes=0)
 
+    def searching(n, edges, *args, ceiling=None):
+        found = _search(n, edges, *args, ceiling=ceiling)
+        if ceiling is not None:
+            ceilings.append(found[2])
+        return found
+
     monkeypatch.setattr(canon_module, "canonical_form", starved)
+    monkeypatch.setattr(canon_module, "_search", searching)
     rng = random.Random(2828)
     systems = [build(ConstructionSpec("c1", 3)), build(ConstructionSpec("c4", 3)),
                truncated_design(3), transversal_design(4)]
@@ -541,5 +554,7 @@ def test_isomorphism_falls_back_to_the_ceiling_search(monkeypatch):
     for a, b in pairs:
         for h1, h2 in ((a, b), (b, a)):
             calls.clear()
+            ceilings.clear()
             assert isomorphism(h1, h2) == _two_forms_isomorphism(h1, h2), (h1, h2)
             assert calls == [h1], (h1, h2)
+            assert len(ceilings) == 1 and ceilings[0] <= canonical_form(h2).nodes, (h1, h2)

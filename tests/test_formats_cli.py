@@ -341,6 +341,10 @@ def test_cli_check_nonlinear_file_exits_1(tmp_path, capsys):
         f.write_text(text)
         assert run_cli("check", str(f)) == 1, text
         assert "FAIL" in capsys.readouterr().out
+    # so are bytes that are not UTF-8
+    f.write_bytes(b"\xff\xfe")
+    assert run_cli("check", str(f)) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_check_json_names_linearity_only_for_a_linearity_fault(tmp_path, capsys):
@@ -353,6 +357,26 @@ def test_cli_check_json_names_linearity_only_for_a_linearity_fault(tmp_path, cap
         assert run_cli("check", str(f), "--json") == 1, text
         payload = json.loads(capsys.readouterr().out)
         assert (payload["is_linear"], payload["pass"]) == (linear, False), text
+    # bytes that are not UTF-8 leave linearity unknown too
+    f.write_bytes(b"\xff\xfe")
+    assert run_cli("check", str(f), "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["is_linear"], payload["pass"]) == (None, False)
+
+
+def test_cli_file_that_is_not_utf8_exits_1(tmp_path, monkeypatch, capsys):
+    # every subcommand that reads a file fails it, from a path or from "-"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    good = tmp_path / "good.txt"
+    good.write_text(serialize_system(transversal_design(3)))
+    for argv in (("canon", str(bad)), ("iso", str(bad), str(good)), ("iso", str(good), str(bad))):
+        assert run_cli(*argv) == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
+    for argv in (("check", "-"), ("canon", "-")):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+        assert run_cli(*argv) == 1, argv
+        capsys.readouterr()
 
 
 def test_cli_check_json(tmp_path, capsys):

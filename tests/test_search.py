@@ -463,18 +463,20 @@ def test_enumerate_past_k3():
 
 def test_enumerated_forms_are_canonical_forms():
     # the leaf keeps a system only when its own list is minimal, so each
-    # returned form is canonical_form's, labeling included; with two
-    # workers the run at degree m is added by canonical_form itself
+    # returned form is canonical_form's, labeling and node count included;
+    # with two workers the run at degree m is added by canonical_form itself
+    def full(f):
+        return f, f.labeling, f.nodes
+
     shapes = [(n, m) for n in range(3, 10) for m in range(1, upper_bound(n) + 1)]
     for n, m in shapes + [(10, 10), (11, 12), (12, 16)]:
         forms = enumerate_extremal(n, m)
         assert forms, (n, m)
         for f in forms:
-            g = canonical_form(f.system())
-            assert (g, g.labeling) == (f, f.labeling), (n, m)
+            assert full(canonical_form(f.system())) == full(f), (n, m)
     for n, m in ((7, 3), (9, 9)):
         two = enumerate_extremal(n, m, SearchOptions(worker_count=2))
-        assert {(f, f.labeling) for f in two} == {(f, f.labeling) for f in enumerate_extremal(n, m)}
+        assert set(map(full, two)) == set(map(full, enumerate_extremal(n, m)))
 
 
 def test_unbroken_runs_build_no_first_use_order(monkeypatch):
@@ -702,3 +704,23 @@ def test_split_matches_a_guard_probe_walk():
     runs = [r for r in _star_runs(19, upper_bound(19)) if r[2] > 37]
     assert [triples[prefix[-1]] for prefix, _, _ in _depth2_prefixes(19, runs)] == [
         (1, 3, 5), (1, 3, 13), (1, 13, 14), (13, 14, 15)]
+
+
+def test_pool_holds_at_most_one_worker_per_task(monkeypatch):
+    # (10, 10) splits into four depth-2 tasks, so six workers would leave
+    # two idle; a call with no task starts no pool (Pool(0) raises)
+    sizes = []
+    real_pool = search.mp.Pool
+
+    def recording(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(search.mp, "Pool", recording)
+    forms = enumerate_extremal(10, 10, SearchOptions(worker_count=6))
+    assert sizes == [4]
+    assert forms == enumerate_extremal(10, 10)
+    # n=3's one run, the edge {0,1,2}, has no candidate to split on
+    budget = _Budget(None, None)
+    assert _run_tasks(3, _star_runs(3, 1), 6, budget, partial(_max_task, 0)) == (True, [])
+    assert sizes == [4]
