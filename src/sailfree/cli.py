@@ -4,7 +4,8 @@ Every subcommand is a thin wrapper over library operations.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 search limit
 exceeded.  A file whose content fails to decode, parse or validate is a
 verification failure in every subcommand; any other package error is a
-usage error.  SAILFREE_THREADS sets the default worker count.
+usage error.  A file named - is read from stdin, as UTF-8 bytes.
+SAILFREE_THREADS sets the default worker count.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _rows(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

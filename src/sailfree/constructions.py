@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import LinearTripleSystem, make_system
+from .core import LinearTripleSystem, check_size, make_system
 from .errors import (
     BadColorAssignment,
     BadCycleLengths,
@@ -216,8 +216,10 @@ class ConstructionSpec:
         "td": ("latin",),
         "truncated": (),
     }
-    # the 3k+1 constructions reach k^2+1 edges from k = 3, the designs exist from k = 1
-    _LEAST_K = {"c1": 3, "c2": 3, "c3": 3, "c4": 3, "td": 1, "truncated": 1}
+    # (least k, n - 3k): the 3k+1 constructions reach k^2+1 edges from k = 3,
+    # the designs exist from k = 1
+    _K_SHAPE = {"c1": (3, 1), "c2": (3, 1), "c3": (3, 1), "c4": (3, 1),
+                "td": (1, 0), "truncated": (1, 2)}
 
     def __post_init__(self):
         if self.variant not in self._ALLOWED:
@@ -228,9 +230,10 @@ class ConstructionSpec:
                 raise ValueError(f"parameter {name} does not apply to variant {self.variant}")
         if self.variant in ("c3", "c4") and self.k != 3:
             raise ValueError(f"variant {self.variant} is defined only for k=3")
-        least = self._LEAST_K[self.variant]
+        least, residue = self._K_SHAPE[self.variant]
         if self.k < least:
             raise KTooSmall(f"construction {self.variant} needs k >= {least}, got {self.k}")
+        check_size(3 * self.k + residue)
         for name, error, what in (("special_edge_offsets", BadSpecialEdges, "cycle positions"),
                                   ("triangle_perms", BadColorAssignment, "triangle permutations")):
             value = getattr(self, name)

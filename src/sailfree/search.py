@@ -150,12 +150,17 @@ Every call has one budget, its node limit and the deadline fixed at call
 entry; all its tasks spend from it.  It alone counts the call's pushes
 and records whether it cut the call.
 
-Tasks.  Both searches run their tasks through _run_tasks and combine the
-results with one expression for any worker count.  With one worker each
-run is a task; with more, each (root, t), t a candidate of a run's root
-in first-use order, is one, run in a process pool that takes them lazily
-in run order, none once the budget is gone, and whose workers share only
-the node count.  A task's first-use state is the one after its prefix.
+Tasks.  Both searches run their tasks through _run_tasks, from the
+call's starting bound, and combine the results with one expression for
+any worker count.  With one worker each run is a task.  With more, one
+rule covers every run: a run whose stop_at is at most the bound ends on
+entry and is skipped; a run whose root has more edges than the bound,
+enumeration's m-edge star, is a leaf and runs in this process as it does
+serially, so the leaf test gives its class; and each (root, t) of every
+other run, t a candidate of its root in first-use order, is a task, run
+in a process pool that takes them lazily in run order, none once the
+budget is gone, and whose workers share only the node count.  A task's
+first-use state is the one after its prefix.
 From Delta = 3 a star and one more edge can hold a sail, the crossbar
 {1,3,5} of three star edges; the guard rejects that task's prefix and it
 returns empty.  Every maximum task starts from the call's start and
@@ -194,6 +199,7 @@ from itertools import combinations, takewhile
 from math import comb, inf
 from typing import Callable, Optional
 
+# canonical_form is unused here; bench/tracing.py swaps it by this name
 from .canon import CanonicalForm, _canonical_copy, canonical_form
 from .constructions import formula_construction
 from .core import LinearTripleSystem, Triple, check_size, pair_mask
@@ -374,11 +380,6 @@ def _star(n):
     return tuple(comb(n - 1, 2) - comb(n - 1 - 2 * j, 2) for j in range((n - 1) // 2))
 
 
-def _star_edges(delta):
-    """Vertex 0's star at degree delta, as triples."""
-    return tuple(Triple(0, 2 * j + 1, 2 * j + 2) for j in range(delta))
-
-
 @lru_cache(maxsize=None)  # read by every max_sail_free call
 def _start(n):
     """The starting best of max_sail_free: the construction of formula size,
@@ -386,7 +387,8 @@ def _start(n):
     find_sail_fast; a sail there is a bug in the constructions."""
     system = formula_construction(n)
     if system is None:
-        system = LinearTripleSystem(n, _star_edges((n - 1) // 2))
+        system = LinearTripleSystem(n, tuple(Triple(0, 2 * j + 1, 2 * j + 2)
+                                                 for j in range((n - 1) // 2)))
     if find_sail_fast(system) is not None:
         raise RuntimeError(f"the starting system on {n} vertices holds a sail")
     return system
@@ -610,15 +612,7 @@ def max_sail_free(n: int, opts: SearchOptions = SearchOptions()) -> SearchReport
 
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else start + opts.time_limit)
-    if opts.worker_count > 1:
-        # Only runs that can beat the start are split into pool tasks, so a
-        # call that the start proves starts no pool.  A serial call still
-        # enters every run, which pushes its star prefix and ends on entry:
-        # the benchmark's per-layer prove-par run divides by the serial
-        # prove workload's guard pushes (bench/run.py, pool.node_ratio), and
-        # a call that pushed nothing would leave it no divisor.
-        runs = [r for r in runs if r[2] > best]
-    clean, results = _run_tasks(n, runs, opts.worker_count, budget, partial(_max_task, best))
+    clean, results = _run_tasks(n, runs, opts.worker_count, budget, _max_task, best)
     found, found_edges = max(results, key=lambda r: r[0], default=(0, None))
     if found > best:
         best, witness = found, LinearTripleSystem(n, tuple(found_edges))
@@ -646,20 +640,10 @@ def enumerate_extremal(n: int, m: int,
     budget = _Budget(opts.node_limit,
                      None if opts.time_limit is None else time.monotonic() + opts.time_limit)
     runs = [r for r in _star_runs(n, inf) if len(r[0]) <= m]
-    pooled = opts.worker_count > 1
-    if pooled:
-        # as in max_sail_free, only a pooled call skips the runs with no
-        # task to split: those whose stop is below m, and the run at degree
-        # m, whose root, its one m-edge system, no depth-2 task covers
-        # (added below)
-        runs = [r for r in runs if len(r[0]) < m <= r[2]]
-    clean, results = _run_tasks(n, runs, opts.worker_count, budget, partial(_enum_task, m))
+    clean, results = _run_tasks(n, runs, opts.worker_count, budget, _enum_task, m - 1)
     if not clean:
         raise LimitExceeded(f"enumeration of ({n}, {m}) stopped by its budget")
-    forms = set().union(*results)
-    if pooled and m <= (n - 1) // 2:
-        forms.add(canonical_form(LinearTripleSystem(n, _star_edges(m))))
-    return forms
+    return set().union(*results)
 
 
 # --- tasks and the process pool -------------------------------------------
@@ -670,10 +654,10 @@ def _max_task(bound, n, budget, run):
     return _max_kernel(n, prefix, delta, bound, stop_at, budget)
 
 
-def _enum_task(m, n, budget, run):
-    """_enum_kernel on one (prefix, delta, stop_at) run, for m edges."""
+def _enum_task(bound, n, budget, run):
+    """_enum_kernel on one (prefix, delta, stop_at) run, for m = bound + 1 edges."""
     prefix, delta, stop_at = run
-    return _enum_kernel(n, prefix, delta, m, stop_at, budget)
+    return _enum_kernel(n, prefix, delta, bound + 1, stop_at, budget)
 
 
 _WORKER_STATE: dict = {}
@@ -702,27 +686,37 @@ def _depth2_prefixes(n, runs):
                 yield prefix + (t,), delta, stop_at
 
 
-def _run_tasks(n, runs, workers, budget, task):
-    """Run task(n, budget, run) over the (prefix, delta, stop_at) runs;
-    returns (clean, results), results in task order, clean when the
-    budget cut no task.  One worker runs each run in this process, with n
-    and the budget as arguments, so calls in threads do not meet; more run
-    the depth-2 prefixes below the runs in a process pool (module
-    docstring, _in_worker) of at most one worker per prefix.  Nothing runs
-    when there is no run, no prefix or no budget left.
+def _run_tasks(n, runs, workers, budget, task, bound):
+    """Run task(bound, n, budget, run) over the (prefix, delta, stop_at)
+    runs, bound the call's starting bound; returns (clean, results),
+    results in task order, clean when the budget cut no task.  One worker
+    runs each run in this process, with n and the budget as arguments, so
+    calls in threads do not meet.  More skip the runs whose stop_at is at
+    most the bound, run in this process each run whose root has more edges
+    than the bound (enumeration's m-edge star: a leaf, and with the runs by
+    delta descending, the first), and split every other run into depth-2
+    prefixes run in a process pool (module docstring, _in_worker) of at most
+    one worker per prefix.  Nothing runs when there is no run, no prefix or
+    no budget left.
     """
+    # a serial call still enters runs that end on entry: the bench's
+    # pool.node_ratio and (9, 10) replay divide by their prefix pushes
+    if workers > 1:
+        runs = [r for r in runs if r[2] > bound]
     if not runs or budget.spend(0):
         return not budget.exceeded, []
+    task = partial(task, bound)
     if workers == 1:
         results = [task(n, budget, run) for run in runs]
         return not budget.exceeded, results
-    prefixes = list(_depth2_prefixes(n, runs))
+    results = [task(n, budget, run) for run in runs if len(run[0]) > bound]
+    prefixes = list(_depth2_prefixes(n, [r for r in runs if len(r[0]) <= bound]))
     if not prefixes:
-        return not budget.exceeded, []
+        return not budget.exceeded, results
     budget.counter = mp.Value("q", budget.local, lock=True)
     tasks = takewhile(lambda _: not budget.spend(0), prefixes)
     with mp.Pool(min(workers, len(prefixes)), initializer=_pool_init,
                  initargs=(n, budget)) as pool:
         outcomes = list(pool.imap(partial(_in_worker, task), tasks))
     clean = not budget.exceeded and all(ok for ok, _ in outcomes)
-    return clean, [result for _, result in outcomes]
+    return clean, results + [result for _, result in outcomes]

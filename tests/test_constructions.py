@@ -30,6 +30,7 @@ from sailfree.errors import (
     InvalidLatinSquare,
     KTooSmall,
     NoLongCycle,
+    UnsupportedSize,
 )
 from sailfree.sails import find_sail_bruteforce, find_sail_fast
 
@@ -305,6 +306,14 @@ def test_spec_rejects_k_below_the_variants_least():
         for k in (2, 4):
             with pytest.raises(ValueError, match="defined only for k=3"):
                 ConstructionSpec(variant, k)
+
+
+def test_spec_rejects_k_past_64_vertices():
+    # the spec checks each variant's vertex count, 3k plus its residue
+    for variant, k, n in (("c1", 22, 67), ("c2", 24, 73), ("td", 22, 66), ("truncated", 21, 65)):
+        with pytest.raises(UnsupportedSize, match=f"n={n} outside supported range 3..64"):
+            ConstructionSpec(variant, k)
+    assert (transversal_design(21).n, truncated_design(20).n) == (63, 62)
 
 
 # --- designs ----------------------------------------------------------------

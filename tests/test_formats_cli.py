@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -373,10 +374,15 @@ def test_cli_file_that_is_not_utf8_exits_1(tmp_path, monkeypatch, capsys):
     for argv in (("canon", str(bad)), ("iso", str(bad), str(good)), ("iso", str(good), str(bad))):
         assert run_cli(*argv) == 1, argv
         assert "error:" in capsys.readouterr().err, argv
+    # stdin is read as UTF-8 bytes, whatever error handler its text layer
+    # has: a surrogateescape locale would pass the bad bytes on as text
     for argv in (("check", "-"), ("canon", "-")):
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
-        assert run_cli(*argv) == 1, argv
-        capsys.readouterr()
+        for errors in ("strict", "surrogateescape"):
+            stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors=errors)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert run_cli(*argv) == 1, (argv, errors)
+            out, err = capsys.readouterr()
+            assert "codec can't decode" in out + err, (argv, errors)  # check reports on stdout
 
 
 def test_cli_check_json(tmp_path, capsys):
@@ -474,7 +480,7 @@ def test_cli_canon_and_iso(tmp_path, capsys, monkeypatch):
     strip = lambda s: "\n".join(l for l in s.splitlines() if not l.startswith("#"))
     assert strip(first) == strip(second)
     # "-" reads the system from stdin
-    monkeypatch.setattr("sys.stdin", io.StringIO(b.read_text()))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b.read_bytes()), encoding="utf-8"))
     assert run_cli("canon", "-", "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["edges"] == [list(e) for e in parse_system(first).edges]
@@ -541,6 +547,12 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     # a k whose n exceeds 64 is at fault, not a verification failure
     assert run_cli("construct", "--type", "td", "--k", "30") == 2
     assert "n=90 outside supported range 3..64" in capsys.readouterr().err
+    # the spec rejects it before any build: a c1 build at k=1000 would
+    # recurse past the interpreter's limit, one at k=200 take seconds
+    start = time.monotonic()
+    assert run_cli("construct", "--type", "c1", "--k", "1000") == 2
+    assert time.monotonic() - start < 1
+    assert "n=3001 outside supported range 3..64" in capsys.readouterr().err
     for offsets in ("0", "0,3,5"):
         assert run_cli("construct", "--type", "c1", "--k", "3",
                        "--special-edges", offsets) == 2, offsets

@@ -262,7 +262,7 @@ def test_pool_from_the_star_returns_the_serial_witness(n, workers):
     want = _running_best(n, runs, star, _Budget(None, None))
     budget = _Budget(None, None)
     clean, results = _run_tasks(n, [r for r in runs if r[2] > star], workers, budget,
-                                partial(_max_task, star))
+                                _max_task, star)
     assert clean and sum(found > star for found, _ in results) > 1
     assert max(results, key=lambda r: r[0]) == want
     if workers == 1:
@@ -333,7 +333,8 @@ def test_a_start_holding_a_sail_raises(monkeypatch, sail7):
 
 def test_parallel_call_proven_at_entry_starts_no_pool(monkeypatch):
     # the truncated design reaches n=16's bound: no table, shared value or
-    # pool is made, and the witness is the cached construction
+    # pool is made, and the witness is the cached construction; no run at
+    # n=9 can hold 10 edges, so the pooled enumeration skips every run
     def made(*args, **kwargs):
         raise AssertionError("table, shared value or pool made")
 
@@ -344,6 +345,7 @@ def test_parallel_call_proven_at_entry_starts_no_pool(monkeypatch):
     assert (report.max_edges, report.exhausted, report.nodes_explored) == (26, True, 0)
     assert report.witness is _start(16)
     assert report.elapsed < 0.1
+    assert enumerate_extremal(9, 10, SearchOptions(worker_count=2)) == set()
 
 
 def test_runs_that_end_on_entry_build_no_index_masks(monkeypatch):
@@ -463,8 +465,8 @@ def test_enumerate_past_k3():
 
 def test_enumerated_forms_are_canonical_forms():
     # the leaf keeps a system only when its own list is minimal, so each
-    # returned form is canonical_form's, labeling and node count included;
-    # with two workers the run at degree m is added by canonical_form itself
+    # returned form is canonical_form's, labeling and node count included,
+    # with two workers too
     def full(f):
         return f, f.labeling, f.nodes
 
@@ -503,11 +505,18 @@ def test_enumerate_respects_limits():
 
 def test_enumerate_parallel_agrees():
     two = SearchOptions(worker_count=2)
-    # at (7, 3) the root of the run at degree 3 is itself a 3-edge system
-    for n, m in ((7, 4), (7, 3), (7, 1)):
+
+    def full(forms):
+        return {(f.edges, f.labeling, f.nodes) for f in forms}
+
+    # at (7, 3) the root of the run at degree 3 is itself a 3-edge system,
+    # and (9, 4) has such a root and pool tasks both (its unbroken
+    # cross-check is test_star_break_keeps_every_class's, nightly)
+    for n, m in ((7, 4), (7, 3), (7, 1), (9, 4)):
         seq = enumerate_extremal(n, m)
-        assert enumerate_extremal(n, m, two) == seq
-        assert _unbroken_classes(n, m) == seq
+        assert full(enumerate_extremal(n, m, two)) == full(seq), (n, m)
+        if n == 7:
+            assert _unbroken_classes(n, m) == seq
 
 
 def test_report_fields_consistent():
@@ -720,7 +729,8 @@ def test_pool_holds_at_most_one_worker_per_task(monkeypatch):
     forms = enumerate_extremal(10, 10, SearchOptions(worker_count=6))
     assert sizes == [4]
     assert forms == enumerate_extremal(10, 10)
-    # n=3's one run, the edge {0,1,2}, has no candidate to split on
+    # n=3's one run, the edge {0,1,2}, has no candidate to split on: its
+    # root is past the bound, so it runs in this process as a serial run
     budget = _Budget(None, None)
-    assert _run_tasks(3, _star_runs(3, 1), 6, budget, partial(_max_task, 0)) == (True, [])
+    assert _run_tasks(3, _star_runs(3, 1), 6, budget, _max_task, 0) == (True, [(1, [(0, 1, 2)])])
     assert sizes == [4]
